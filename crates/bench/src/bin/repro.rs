@@ -23,10 +23,15 @@
 use kcb_bench::cli;
 use kcb_bench::run_meta::{self, RunMetaInputs};
 use kcb_bench::runs;
-use kcb_core::experiment::plan::{run_scheduled, run_scheduled_with, JournalSpec};
+use kcb_core::ckpt::CkptStore;
+use kcb_core::experiment::plan::{run_scheduled, run_scheduled_with, JournalSpec, PlanReport};
 use kcb_core::journal;
 use kcb_core::lab::{Lab, LabConfig};
+use kcb_core::report::Artifact;
+use serde_json::Value;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -179,14 +184,6 @@ fn tune_allocator_via_reexec() {
 #[cfg(not(unix))]
 fn tune_allocator_via_reexec() {}
 
-/// Applies `--cache-cap` to the checkpoint store after checkpoints have
-/// been saved, reporting what was evicted in one line.
-fn run_gc(lab: &Lab, cap: Option<u64>) {
-    if let (Some(cap), Some(store)) = (cap, lab.checkpoint_store()) {
-        eprintln!("# {}", store.gc(cap));
-    }
-}
-
 /// Current unix time in milliseconds (run ids and manifest timestamps).
 fn unix_ms() -> u64 {
     std::time::SystemTime::now()
@@ -223,21 +220,249 @@ fn runs_query(cmd: &cli::RunsCmd, root: &std::path::Path) -> ExitCode {
     }
 }
 
+/// What every run mode shares: the parsed flags, the run's identity and
+/// the checkpoint store.
+struct RunCtx<'a> {
+    args: &'a cli::Args,
+    seed: u64,
+    scale: f64,
+    threads: usize,
+    /// FNV-64 of the full lab config, for the `run_meta.json` manifest.
+    config_digest: String,
+    store: Arc<CkptStore>,
+    /// Run-journal root (`--runs-dir`, default `results/runs`).
+    runs_root: PathBuf,
+}
+
+impl RunCtx<'_> {
+    /// Applies `--cache-cap` to the checkpoint store after checkpoints have
+    /// been saved, reporting what was evicted in one line.
+    fn gc(&self) {
+        if let Some(cap) = self.args.cache_cap {
+            eprintln!("# {}", self.store.gc(cap));
+        }
+    }
+
+    /// Writes `results/run_meta.json` and returns its text, or `None`
+    /// after reporting the write error.
+    fn write_run_meta(
+        &self,
+        mode: &str,
+        total_seconds: f64,
+        report: &PlanReport,
+        telemetry: &kcb_obs::Telemetry,
+        serve: Option<Value>,
+        sweep: Option<Value>,
+    ) -> Option<String> {
+        let meta = run_meta::run_meta_json(&RunMetaInputs {
+            seed: self.seed,
+            scale: self.scale,
+            threads: self.threads,
+            fast: self.args.fast,
+            mode,
+            total_seconds,
+            config_digest: self.config_digest.clone(),
+            git_rev: run_meta::git_rev(),
+            report,
+            telemetry,
+            serve,
+            sweep,
+        });
+        let path = Path::new("results").join("run_meta.json");
+        let text = serde_json::to_string_pretty(&meta).expect("serializable");
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &text)) {
+            Ok(()) => {
+                eprintln!("# wrote {}", path.display());
+                Some(text)
+            }
+            Err(e) => {
+                eprintln!("error writing {}: {e}", path.display());
+                None
+            }
+        }
+    }
+}
+
+/// The journaled-run driver shared by `repro <ids>` and `repro sweep`. It
+/// owns the `KCB_FAULT` plan, the start and terminal run-index manifests,
+/// the `# scheduler:` / `# journal:` lines and the trace, run_meta and
+/// profile exporters, so the two paths differ only in what they execute
+/// and print in between.
+struct JournaledRun<'a> {
+    ctx: &'a RunCtx<'a>,
+    /// `run_meta` mode: `"artifacts"` or `"sweep"`.
+    mode: &'static str,
+    manifest: journal::RunManifest,
+    /// The journal's run directory (`None` under `--no-journal`).
+    dir: Option<PathBuf>,
+    fault: Option<journal::FaultPlan>,
+    total: Instant,
+}
+
+impl<'a> JournaledRun<'a> {
+    /// Arms `KCB_FAULT` and, unless `--no-journal`, appends the `running`
+    /// manifest for a run journaled under `runs/<digest>/` that requests
+    /// `ids`. A malformed `KCB_FAULT` is an error, reported here.
+    fn start(
+        ctx: &'a RunCtx<'a>,
+        mode: &'static str,
+        digest: String,
+        ids: Vec<String>,
+    ) -> Result<Self, ExitCode> {
+        let total = Instant::now();
+        let fault = journal::FaultPlan::from_env().map_err(|e| {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        })?;
+        let dir = (!ctx.args.no_journal).then(|| journal::run_dir(&ctx.runs_root, &digest));
+        let started_ms = unix_ms();
+        let manifest = journal::RunManifest {
+            run_id: format!("{digest}-{started_ms}"),
+            config_digest: digest,
+            seed: ctx.seed,
+            scale: ctx.scale,
+            threads: ctx.threads as u64,
+            fast: ctx.args.fast,
+            ids,
+            started_unix_ms: started_ms,
+            updated_unix_ms: started_ms,
+            outcome: "running".to_string(),
+            jobs_run: 0,
+            jobs_replayed: 0,
+            resume: false,
+            wall_s: 0.0,
+            artifacts: Vec::new(),
+        };
+        if dir.is_some() {
+            journal::index_append(&ctx.runs_root, &manifest);
+        }
+        Ok(Self { ctx, mode, manifest, dir, fault, total })
+    }
+
+    /// The journal attachment for the executor.
+    fn spec(&self) -> Option<JournalSpec> {
+        self.dir.clone().map(|dir| JournalSpec { dir, fault: self.fault })
+    }
+
+    /// Applies `--cache-cap` and reports what the scheduler and the
+    /// journal did.
+    fn after_run(&self, report: &PlanReport) {
+        self.ctx.gc();
+        eprintln!(
+            "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
+            report.scheduler.workers,
+            report.scheduler.jobs.len(),
+            report.scheduler.steals,
+            report.scheduler.wall_seconds
+        );
+        if report.journal.enabled {
+            let what = if self.mode == "sweep" { "sweep" } else { "run" };
+            eprintln!(
+                "# journal: {} appended, {} replayed{} ({})",
+                report.journal.appended,
+                report.journal.replayed,
+                if report.journal.resume {
+                    format!(" — resumed an interrupted {what}")
+                } else {
+                    String::new()
+                },
+                self.dir.as_ref().map(|d| d.display().to_string()).unwrap_or_default()
+            );
+        }
+    }
+
+    /// Drains telemetry into the trace, run_meta and profile exporters,
+    /// appends the terminal manifest and reports the total.
+    fn finish(
+        mut self,
+        report: &PlanReport,
+        artifacts: &[(String, Artifact)],
+        sweep: Option<Value>,
+        mut failed: bool,
+    ) -> ExitCode {
+        let args = self.ctx.args;
+        let total_secs = self.total.elapsed().as_secs_f64();
+        // One drain serves all three exporters; after this the recorder is
+        // empty again.
+        let telemetry = kcb_obs::drain();
+        kcb_obs::set_enabled(false);
+        if let Some(path) = &args.trace {
+            let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
+            match std::fs::write(path, &doc) {
+                Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
+                Err(e) => {
+                    eprintln!("error writing trace {}: {e}", path.display());
+                    failed = true;
+                }
+            }
+        }
+        if args.metrics {
+            match self.ctx.write_run_meta(self.mode, total_secs, report, &telemetry, None, sweep) {
+                Some(text) if self.manifest.ids.iter().any(|id| id == "summary") => {
+                    println!("\n## Run metadata (results/run_meta.json)\n{text}");
+                }
+                Some(_) => {}
+                None => failed = true,
+            }
+        }
+        if args.profile {
+            println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
+            print!("{}", kcb_obs::profile::render_table(&telemetry));
+            if !report.checkpoints.is_empty() {
+                println!(
+                    "\n## Checkpoints ({} hits, {} misses)\n",
+                    report.cache.ckpt_hits, report.cache.ckpt_misses
+                );
+                println!("{:<20} {:<18} {:>6} {:>12}", "provider", "key", "state", "bytes");
+                for e in &report.checkpoints {
+                    println!(
+                        "{:<20} {:<18} {:>6} {:>12}",
+                        e.provider,
+                        e.key,
+                        if e.hit { "hit" } else { "miss" },
+                        e.bytes
+                    );
+                }
+            }
+        }
+        // Terminal index record: folds over the start record, so `repro runs
+        // list` shows this run as complete/failed — or still `running` if it
+        // crashed before reaching here.
+        if self.dir.is_some() {
+            let m = &mut self.manifest;
+            m.outcome = if failed { "failed" } else { "complete" }.to_string();
+            m.updated_unix_ms = unix_ms();
+            m.jobs_run = report.journal.appended;
+            m.jobs_replayed = report.journal.replayed;
+            m.resume = report.journal.resume;
+            m.wall_s = total_secs;
+            m.artifacts = artifacts
+                .iter()
+                .map(|(id, a)| {
+                    let body = a.to_replay_json().render_json(None);
+                    (id.clone(), kcb_util::fnv1a_hex(body.as_bytes()))
+                })
+                .collect();
+            journal::index_append(&self.ctx.runs_root, m);
+        }
+        eprintln!("# total {total_secs:.1}s");
+        if failed {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        }
+    }
+}
+
 /// `repro sweep --grid SPEC`: compiles the variant grid into one
 /// structure-shared DAG, runs it (resumably, under the journal), writes
 /// the `analysis/` tables plus `results/bench_sweep.json`, and — with
 /// `--baseline` — re-runs every variant sequentially to measure the
 /// speedup and prove the rows byte-identical.
-fn sweep_cmd(
-    args: &cli::Args,
-    base: LabConfig,
-    store: std::sync::Arc<kcb_core::ckpt::CkptStore>,
-    threads: usize,
-    runs_root: &std::path::Path,
-    config_digest: String,
-) -> ExitCode {
+fn sweep_cmd(ctx: &RunCtx<'_>, base: LabConfig) -> ExitCode {
     use kcb_bench::analysis;
     use kcb_core::experiment::sweep;
+    let args = ctx.args;
 
     // cli::parse validated the spec already; parse again for the value.
     let grid = match sweep::GridSpec::parse(args.grid.as_deref().unwrap_or_default()) {
@@ -264,65 +489,19 @@ fn sweep_cmd(
         splan.unique_jobs
     );
 
-    let fault = match journal::FaultPlan::from_env() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     // The sweep journals under its grid digest (not one variant's config
     // digest) so a resumed sweep finds every variant's completions.
-    let journal_dir =
-        (!args.no_journal).then(|| journal::run_dir(runs_root, &gdigest));
-    let started_ms = unix_ms();
-    let mut manifest = journal::RunManifest {
-        run_id: format!("{gdigest}-{started_ms}"),
-        config_digest: gdigest.clone(),
-        seed: base.seed,
-        scale: base.scale,
-        threads: threads as u64,
-        fast: args.fast,
-        ids: splan.variant_ids.clone(),
-        started_unix_ms: started_ms,
-        updated_unix_ms: started_ms,
-        outcome: "running".to_string(),
-        jobs_run: 0,
-        jobs_replayed: 0,
-        resume: false,
-        wall_s: 0.0,
-        artifacts: Vec::new(),
+    let run = match JournaledRun::start(ctx, "sweep", gdigest, splan.variant_ids.clone()) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
-    if journal_dir.is_some() {
-        journal::index_append(runs_root, &manifest);
-    }
-
-    let total = Instant::now();
     let spec = sweep::SweepSpec {
-        workers: threads,
-        journal: journal_dir.clone().map(|dir| JournalSpec { dir, fault }),
-        store: Some(std::sync::Arc::clone(&store)),
+        workers: ctx.threads,
+        journal: run.spec(),
+        store: Some(Arc::clone(&ctx.store)),
     };
     let outcome = sweep::run_sweep(&base, &grid, &spec);
-    if let Some(cap) = args.cache_cap {
-        eprintln!("# {}", store.gc(cap));
-    }
-    eprintln!(
-        "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
-        outcome.report.scheduler.workers,
-        outcome.report.scheduler.jobs.len(),
-        outcome.report.scheduler.steals,
-        outcome.report.scheduler.wall_seconds
-    );
-    if outcome.report.journal.enabled {
-        eprintln!(
-            "# journal: {} appended, {} replayed{} ({})",
-            outcome.report.journal.appended,
-            outcome.report.journal.replayed,
-            if outcome.report.journal.resume { " — resumed an interrupted sweep" } else { "" },
-            journal_dir.as_ref().map(|d| d.display().to_string()).unwrap_or_default()
-        );
-    }
+    run.after_run(&outcome.report);
 
     // The sequential baseline reruns every variant in a fresh lab — the
     // cost a user without the sweep compiler would pay — and doubles as a
@@ -351,10 +530,7 @@ fn sweep_cmd(
     print!("{}", analysis::render_aggregates(&outcome.aggregates));
     print!("{}", analysis::render_significance(&outcome.tests));
 
-    let analysis_dir = args
-        .out
-        .clone()
-        .unwrap_or_else(|| std::path::Path::new("results").join("analysis"));
+    let analysis_dir = args.out.clone().unwrap_or_else(|| Path::new("results").join("analysis"));
     match analysis::write_analysis(&analysis_dir, &outcome) {
         Ok(()) => eprintln!("# wrote {}/", analysis_dir.display()),
         Err(e) => {
@@ -363,7 +539,7 @@ fn sweep_cmd(
         }
     }
     let bench_doc = analysis::bench_sweep_json(&grid, &outcome, seq.as_ref());
-    let bench_path = std::path::Path::new("results").join("bench_sweep.json");
+    let bench_path = Path::new("results").join("bench_sweep.json");
     let text = serde_json::to_string_pretty(&bench_doc).expect("serializable");
     if let Err(e) =
         std::fs::create_dir_all("results").and_then(|()| std::fs::write(&bench_path, &text))
@@ -374,72 +550,8 @@ fn sweep_cmd(
         eprintln!("# wrote {}", bench_path.display());
     }
 
-    let total_secs = total.elapsed().as_secs_f64();
-    let telemetry = kcb_obs::drain();
-    kcb_obs::set_enabled(false);
-    if let Some(path) = &args.trace {
-        let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
-        match std::fs::write(path, &doc) {
-            Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
-            Err(e) => {
-                eprintln!("error writing trace {}: {e}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if args.metrics {
-        let meta = run_meta::run_meta_json(&RunMetaInputs {
-            seed: base.seed,
-            scale: base.scale,
-            threads,
-            fast: args.fast,
-            mode: "sweep",
-            total_seconds: total_secs,
-            config_digest,
-            git_rev: run_meta::git_rev(),
-            report: &outcome.report,
-            telemetry: &telemetry,
-            serve: None,
-            sweep: Some(analysis::sweep_meta(&grid, &outcome, seq.as_ref())),
-        });
-        let meta_path = std::path::Path::new("results").join("run_meta.json");
-        let text = serde_json::to_string_pretty(&meta).expect("serializable");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&meta_path, &text))
-        {
-            eprintln!("error writing {}: {e}", meta_path.display());
-            failed = true;
-        } else {
-            eprintln!("# wrote {}", meta_path.display());
-        }
-    }
-    if args.profile {
-        println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
-        print!("{}", kcb_obs::profile::render_table(&telemetry));
-    }
-    if journal_dir.is_some() {
-        manifest.outcome = if failed { "failed" } else { "complete" }.to_string();
-        manifest.updated_unix_ms = unix_ms();
-        manifest.jobs_run = outcome.report.journal.appended;
-        manifest.jobs_replayed = outcome.report.journal.replayed;
-        manifest.resume = outcome.report.journal.resume;
-        manifest.wall_s = total_secs;
-        manifest.artifacts = outcome
-            .artifacts
-            .iter()
-            .map(|(id, a)| {
-                let body = a.to_replay_json().render_json(None);
-                (id.clone(), journal::fnv64_hex(body.as_bytes()))
-            })
-            .collect();
-        journal::index_append(runs_root, &manifest);
-    }
-    eprintln!("# total {total_secs:.1}s");
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let sweep_meta = args.metrics.then(|| analysis::sweep_meta(&grid, &outcome, seq.as_ref()));
+    run.finish(&outcome.report, &outcome.artifacts, sweep_meta, failed)
 }
 
 fn main() -> ExitCode {
@@ -530,28 +642,31 @@ fn main() -> ExitCode {
 
     let threads = args.threads.unwrap_or_else(kcb_lm::pool::threads);
     let (scale, seed) = (cfg.scale, cfg.seed);
-    let config_digest = run_meta::fnv64_hex(format!("{cfg:?}").as_bytes());
     // Trained providers and derived results persist across runs in a
     // content-addressed store; a stale or corrupt entry falls back to
     // retraining, so the cache is purely a wall-clock knob.
-    let cache_dir =
-        args.cache_dir.clone().unwrap_or_else(|| std::path::Path::new("results").join("ckpt"));
-    let mut store = if args.cold {
-        kcb_core::ckpt::CkptStore::cold(cache_dir)
-    } else {
-        kcb_core::ckpt::CkptStore::open(cache_dir)
-    };
+    let cache_dir = args.cache_dir.clone().unwrap_or_else(|| Path::new("results").join("ckpt"));
+    let mut store =
+        if args.cold { CkptStore::cold(cache_dir) } else { CkptStore::open(cache_dir) };
     // Zero-copy warm start is the default; --no-mmap drops to the decode
     // path (same bytes, more copies).
     store.set_mmap(!args.no_mmap);
-    let store = std::sync::Arc::new(store);
+    let ctx = RunCtx {
+        args: &args,
+        seed,
+        scale,
+        threads,
+        config_digest: kcb_util::fnv1a_hex(format!("{cfg:?}").as_bytes()),
+        store: Arc::new(store),
+        runs_root,
+    };
     if args.sweep {
         // The sweep compiler builds its own labs (one per seed × scale
         // group) over this shared store; the single-lab path below never
         // runs.
-        return sweep_cmd(&args, cfg, store, threads, &runs_root, config_digest);
+        return sweep_cmd(&ctx, cfg);
     }
-    let lab = Lab::with_checkpoints(cfg, store);
+    let lab = Lab::with_checkpoints(cfg, Arc::clone(&ctx.store));
 
     if args.serve {
         // Assemble any requested artifacts first so the daemon can serve
@@ -571,7 +686,7 @@ fn main() -> ExitCode {
             snap.add_artifact(id.clone(), payload);
         }
         lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
+        ctx.gc();
         // Flight-recorder dumps land next to the other result files.
         let flight_path = std::path::Path::new("results").join("serve_flight.jsonl");
         let _ = std::fs::create_dir_all("results");
@@ -659,27 +774,11 @@ fn main() -> ExitCode {
                 "verbs": verbs,
                 "e2e": e2e_json,
             });
-            let meta = run_meta::run_meta_json(&RunMetaInputs {
-                seed,
-                scale,
-                threads,
-                fast: args.fast,
-                mode: "serve",
-                total_seconds: serve_t0.elapsed().as_secs_f64(),
-                config_digest,
-                git_rev: run_meta::git_rev(),
-                report: &report,
-                telemetry: &telemetry,
-                serve: Some(summary),
-                sweep: None,
-            });
-            let meta_path = std::path::Path::new("results").join("run_meta.json");
-            let text = serde_json::to_string_pretty(&meta).expect("serializable");
-            if let Err(e) = std::fs::write(&meta_path, &text) {
-                eprintln!("error writing {}: {e}", meta_path.display());
+            let total_s = serve_t0.elapsed().as_secs_f64();
+            if ctx.write_run_meta("serve", total_s, &report, &telemetry, Some(summary), None).is_none()
+            {
                 return ExitCode::FAILURE;
             }
-            eprintln!("# wrote {}", meta_path.display());
         }
         return ExitCode::SUCCESS;
     }
@@ -687,7 +786,7 @@ fn main() -> ExitCode {
         let snap =
             kcb_core::snapshot::Snapshot::freeze(&lab, kcb_core::snapshot::SnapshotSpec::default());
         lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
+        ctx.gc();
         let mut bcfg = kcb_serve::bench::BenchConfig::sized(threads, seed, args.fast);
         if let Some(c) = args.clients {
             bcfg.clients = c;
@@ -756,7 +855,7 @@ fn main() -> ExitCode {
             );
         }
         lab.save_checkpoints();
-        run_gc(&lab, args.cache_cap);
+        ctx.gc();
         let path = std::path::Path::new("results").join("bench_query.json");
         let text = serde_json::to_string_pretty(&doc).expect("serializable");
         if let Err(e) = std::fs::create_dir_all("results")
@@ -779,84 +878,35 @@ fn main() -> ExitCode {
         eprintln!("# wrote {}", path.display());
         return ExitCode::SUCCESS;
     }
-    let total = Instant::now();
-    let mut markdown = String::from("# kcb reproduction report\n\n");
-    let mut failed = false;
-
     // Run journal: every completed job is appended (fsynced) under
     // results/runs/<config-digest>/, so a killed run resumes mid-DAG on
-    // the next invocation with byte-identical artifacts. KCB_FAULT
-    // injects the crash the CI resume test proves this with.
-    let fault = match journal::FaultPlan::from_env() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    // the next invocation with byte-identical artifacts.
+    let run = match JournaledRun::start(&ctx, "artifacts", lab.config_digest(), ids.clone()) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
-    let spec = (!args.no_journal).then(|| JournalSpec {
-        dir: journal::run_dir(&runs_root, &lab.config_digest()),
-        fault,
-    });
-    let started_ms = unix_ms();
-    let run_id = format!("{}-{started_ms}", lab.config_digest());
-    let mut manifest = journal::RunManifest {
-        run_id,
-        config_digest: lab.config_digest(),
-        seed,
-        scale,
-        threads: threads as u64,
-        fast: args.fast,
-        ids: ids.clone(),
-        started_unix_ms: started_ms,
-        updated_unix_ms: started_ms,
-        outcome: "running".to_string(),
-        jobs_run: 0,
-        jobs_replayed: 0,
-        resume: false,
-        wall_s: 0.0,
-        artifacts: Vec::new(),
-    };
-    if spec.is_some() {
-        journal::index_append(&runs_root, &manifest);
-    }
-
     // Decompose the requested artifacts into the dependency-aware cell
     // DAG and run it; artifacts come back in request (= canonical) order
     // and are byte-identical at any worker count.
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let (artifacts, report) = run_scheduled_with(&lab, &id_refs, threads, spec.as_ref());
+    let (artifacts, report) = run_scheduled_with(&lab, &id_refs, threads, run.spec().as_ref());
     // Persist the union of loaded + freshly computed derived results so
     // the next run replays them.
     lab.save_checkpoints();
-    run_gc(&lab, args.cache_cap);
-    eprintln!(
-        "# scheduler: {} workers, {} jobs, {} steals, {:.1}s",
-        report.scheduler.workers,
-        report.scheduler.jobs.len(),
-        report.scheduler.steals,
-        report.scheduler.wall_seconds
-    );
-    if report.journal.enabled {
-        eprintln!(
-            "# journal: {} appended, {} replayed{} ({})",
-            report.journal.appended,
-            report.journal.replayed,
-            if report.journal.resume { " — resumed an interrupted run" } else { "" },
-            spec.as_ref().map(|s| s.dir.display().to_string()).unwrap_or_default()
-        );
-    }
+    run.after_run(&report);
     eprintln!(
         "# checkpoints: {} hits, {} misses ({})",
         report.cache.ckpt_hits,
         report.cache.ckpt_misses,
-        lab.checkpoint_store().map(|s| s.dir().display().to_string()).unwrap_or_default()
+        ctx.store.dir().display()
     );
     for j in &report.scheduler.jobs {
         if let Some(id) = j.label.strip_prefix("artifact:") {
             eprintln!("# {id} assembled in {:.1}s", j.seconds);
         }
     }
+    let mut markdown = String::from("# kcb reproduction report\n\n");
+    let mut failed = false;
     for (id, artifact) in &artifacts {
         println!("{}", artifact.render());
         markdown.push_str(&artifact.render_markdown());
@@ -879,95 +929,5 @@ fn main() -> ExitCode {
             }
         }
     }
-    let total_secs = total.elapsed().as_secs_f64();
-
-    // One drain serves all three exporters; after this the recorder is
-    // empty again.
-    let telemetry = kcb_obs::drain();
-    kcb_obs::set_enabled(false);
-
-    if let Some(path) = &args.trace {
-        let doc = kcb_obs::trace::chrome_trace_string(&telemetry);
-        match std::fs::write(path, &doc) {
-            Ok(()) => eprintln!("# wrote {} ({} spans)", path.display(), telemetry.spans.len()),
-            Err(e) => {
-                eprintln!("error writing trace {}: {e}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if args.metrics {
-        let meta = run_meta::run_meta_json(&RunMetaInputs {
-            seed,
-            scale,
-            threads,
-            fast: args.fast,
-            mode: "artifacts",
-            total_seconds: total_secs,
-            config_digest,
-            git_rev: run_meta::git_rev(),
-            report: &report,
-            telemetry: &telemetry,
-            serve: None,
-            sweep: None,
-        });
-        let meta_path = std::path::Path::new("results").join("run_meta.json");
-        let text = serde_json::to_string_pretty(&meta).expect("serializable");
-        if let Err(e) = std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(&meta_path, &text))
-        {
-            eprintln!("error writing {}: {e}", meta_path.display());
-            failed = true;
-        } else {
-            eprintln!("# wrote {}", meta_path.display());
-        }
-        if ids.iter().any(|id| id == "summary") {
-            println!("\n## Run metadata ({})\n{text}", meta_path.display());
-        }
-    }
-    if args.profile {
-        println!("\n## Span profile ({} spans)\n", telemetry.spans.len());
-        print!("{}", kcb_obs::profile::render_table(&telemetry));
-        if !report.checkpoints.is_empty() {
-            println!(
-                "\n## Checkpoints ({} hits, {} misses)\n",
-                report.cache.ckpt_hits, report.cache.ckpt_misses
-            );
-            println!("{:<20} {:<18} {:>6} {:>12}", "provider", "key", "state", "bytes");
-            for e in &report.checkpoints {
-                println!(
-                    "{:<20} {:<18} {:>6} {:>12}",
-                    e.provider,
-                    e.key,
-                    if e.hit { "hit" } else { "miss" },
-                    e.bytes
-                );
-            }
-        }
-    }
-    // Terminal index record: folds over the start record, so `repro runs
-    // list` shows this run as complete/failed — or still `running` if we
-    // crashed before reaching here.
-    if spec.is_some() {
-        manifest.outcome = if failed { "failed" } else { "complete" }.to_string();
-        manifest.updated_unix_ms = unix_ms();
-        manifest.jobs_run = report.journal.appended;
-        manifest.jobs_replayed = report.journal.replayed;
-        manifest.resume = report.journal.resume;
-        manifest.wall_s = total_secs;
-        manifest.artifacts = artifacts
-            .iter()
-            .map(|(id, a)| {
-                let body = a.to_replay_json().render_json(None);
-                (id.clone(), journal::fnv64_hex(body.as_bytes()))
-            })
-            .collect();
-        journal::index_append(&runs_root, &manifest);
-    }
-    eprintln!("# total {:.1}s", total_secs);
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    run.finish(&report, &artifacts, None, failed)
 }

@@ -78,17 +78,6 @@ pub struct RunMetaInputs<'a> {
     pub sweep: Option<Value>,
 }
 
-/// FNV-1a 64-bit hash, hex-encoded — a stable, dependency-free digest for
-/// the config manifest field.
-pub fn fnv64_hex(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h:016x}")
-}
-
 /// The current checkout's short revision, or `"unknown"`.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
@@ -217,6 +206,7 @@ pub fn run_meta_json(inp: &RunMetaInputs<'_>) -> Value {
 mod tests {
     use super::*;
     use kcb_core::sched::{JobReport, RunReport};
+    use kcb_util::fnv1a_hex;
 
     fn sample_inputs(report: &PlanReport, telemetry: &Telemetry) -> Value {
         run_meta_json(&RunMetaInputs {
@@ -226,7 +216,7 @@ mod tests {
             fast: true,
             mode: "artifacts",
             total_seconds: 1.25,
-            config_digest: fnv64_hex(b"cfg"),
+            config_digest: fnv1a_hex(b"cfg"),
             git_rev: "abc1234".to_string(),
             report,
             telemetry,
@@ -290,7 +280,7 @@ mod tests {
         assert_eq!(doc["manifest"]["seed"], json!(42));
         assert_eq!(doc["manifest"]["git_rev"], json!("abc1234"));
         assert_eq!(doc["manifest"]["mode"], json!("artifacts"));
-        assert_eq!(doc["manifest"]["config_digest"], json!(fnv64_hex(b"cfg")));
+        assert_eq!(doc["manifest"]["config_digest"], json!(fnv1a_hex(b"cfg")));
         assert_eq!(doc["scheduler"]["steals"], json!(3));
         assert_eq!(doc["encoding_cache"]["contended"], json!(1));
         assert_eq!(doc["cache"]["ckpt_hits"], json!(0));
@@ -319,13 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn fnv_digest_is_stable_and_input_sensitive() {
-        assert_eq!(fnv64_hex(b""), "cbf29ce484222325");
-        assert_eq!(fnv64_hex(b"kcb"), fnv64_hex(b"kcb"));
-        assert_ne!(fnv64_hex(b"kcb"), fnv64_hex(b"kcc"));
-    }
-
-    #[test]
     fn serving_runs_embed_their_live_summary() {
         let t = Telemetry::default();
         let report = sample_report();
@@ -342,7 +325,7 @@ mod tests {
             fast: true,
             mode: "serve",
             total_seconds: 9.0,
-            config_digest: fnv64_hex(b"cfg"),
+            config_digest: fnv1a_hex(b"cfg"),
             git_rev: "abc1234".to_string(),
             report: &report,
             telemetry: &t,
@@ -378,7 +361,7 @@ mod tests {
             fast: true,
             mode: "sweep",
             total_seconds: 9.0,
-            config_digest: fnv64_hex(b"cfg"),
+            config_digest: fnv1a_hex(b"cfg"),
             git_rev: "abc1234".to_string(),
             report: &report,
             telemetry: &t,

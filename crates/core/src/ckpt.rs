@@ -31,7 +31,7 @@
 
 use kcb_util::bin::{Reader, Writer};
 use kcb_util::mmap::{pack_f32s, Mmap, RawSection};
-use kcb_util::{fnv1a, Result};
+use kcb_util::{fnv1a, fnv1a_hex, Result};
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,7 +89,7 @@ pub fn digest_key(schema: u32, parts: &[&str]) -> String {
         joined.push('|');
         joined.push_str(p);
     }
-    format!("{:016x}", fnv1a(joined.as_bytes()))
+    fnv1a_hex(joined.as_bytes())
 }
 
 /// One checkpoint lookup or write, reported through `run_meta.json`.

@@ -3,6 +3,7 @@
 //! [`crate::report::Artifact`].
 
 pub mod ablation;
+mod exec;
 pub mod extension;
 pub mod finetune;
 pub mod head_to_head;

@@ -2,8 +2,9 @@
 //! provider jobs (ontology, datasets, corpora, embeddings, LM
 //! checkpoints), warm cells keyed by `(artifact-family, paradigm, task,
 //! scenario, model, adaptation)`, and one driver-side assembly job per
-//! artifact, then executes the whole graph on the [`crate::sched`]
-//! work-stealing scheduler.
+//! artifact. [`run_scheduled_with`] is the one-lab lowering of the shared
+//! journaled executor (`experiment::exec`), which runs the graph on the
+//! [`crate::sched`] work-stealing scheduler.
 //!
 //! Warm cells populate the [`crate::lab::Shared`] memo caches (forest
 //! runs, LSTM runs, scenario scores, the triple-encoding cache); the
@@ -19,18 +20,16 @@
 //! (PubmedBERT forest cells, fine-tuning, BioGPT prompting) is pushed as
 //! a driver-only job; everything else fans out to worker threads.
 
+use super::exec::{execute, LabPlan, Target};
 use super::{scenarios, supervised};
 use crate::dataset::SCENARIOS;
 use crate::journal;
 use crate::lab::{Lab, Shared, EMBEDDING_NAMES};
 use crate::report::Artifact;
-use crate::sched::{Graph, JobDone, JobId, RunReport};
+use crate::sched::{Graph, JobId, RunReport};
 use crate::task::TaskKind;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::rc::Rc;
-use std::sync::Mutex;
+use std::path::PathBuf;
 
 /// What a scheduled run did, for `results/run_meta.json`.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -65,7 +64,8 @@ pub struct JournalStats {
     /// Jobs satisfied from the journal instead of executed (no-op cells
     /// plus artifacts replayed byte-for-byte from persisted payloads).
     pub replayed: u64,
-    /// Whether this run resumed a journal with prior records.
+    /// Whether this run resumed an unfinished journal: it held records,
+    /// and at least one requested artifact had not committed.
     pub resume: bool,
     /// Damaged-suffix warnings emitted while loading the journal.
     pub warnings: u64,
@@ -675,227 +675,30 @@ pub fn run_scheduled(
     run_scheduled_with(lab, ids, workers, None)
 }
 
-/// [`run_scheduled`] with an optional run journal attached: completed
-/// jobs from an interrupted run are marked satisfied at graph-build time
-/// (cells become no-ops, artifacts replay byte-for-byte from persisted
-/// payloads), and every job this run completes is appended to the journal
-/// — fsynced before the job's dependents can observe its result — so the
-/// *next* interruption loses at most the job in flight.
-/// Opens the run journal named by `spec` and loads its replay state:
-/// `(stats, writer, replay)`. A `None` spec (journaling off) and an
-/// unopenable journal file both degrade to a disabled writer. Shared by
-/// the single-run path and the sweep compiler.
-pub(crate) fn open_journal(
-    spec: Option<&JournalSpec>,
-) -> (JournalStats, Option<journal::Writer>, journal::Replay) {
-    let mut jstats = JournalStats::default();
-    let mut writer: Option<journal::Writer> = None;
-    let mut replay = journal::Replay::default();
-    if let Some(spec) = spec {
-        jstats.enabled = true;
-        let path = journal::journal_path(&spec.dir);
-        replay = journal::load(&path);
-        if let Some(w) = &replay.warning {
-            eprintln!("warning: {w}");
-            jstats.warnings += 1;
-        }
-        jstats.resume = !replay.records.is_empty();
-        match journal::Writer::open(&path, replay.records.len() as u64) {
-            Ok(w) => writer = Some(w),
-            Err(e) => {
-                eprintln!("warning: cannot open journal {} ({e}); journaling off", path.display());
-                jstats.enabled = false;
-            }
-        }
-    }
-    (jstats, writer, replay)
-}
-
+/// [`run_scheduled`] with an optional run journal attached (resumable
+/// mid-DAG; see `experiment::exec`). The one-lab lowering: every provider
+/// under the empty prefix, and one target per artifact id whose cells
+/// come from `Cells::deps_for` and whose assembly is [`super::run`].
 pub fn run_scheduled_with(
     lab: &Lab,
     ids: &[&str],
     workers: usize,
     spec: Option<&JournalSpec>,
 ) -> (Vec<(String, Artifact)>, PlanReport) {
-    // Replay: load whatever an earlier run journaled under this config.
-    let (mut jstats, writer, replay) = open_journal(spec);
-    let completed = replay.completed();
-
-    // Digests of artifacts assembled *this* run, filled by the assembly
-    // closures (driver thread) and read by the completion hook right
-    // after — so the journal records each artifact's payload checksum.
-    let digests: Mutex<HashMap<String, String>> = Mutex::new(HashMap::new());
-    let mut replayed: HashSet<String> = HashSet::new();
-
-    let mut g = Graph::new();
-    let mut provenance = Provenance::default();
-    let cfg_digest = lab.shared().config_digest();
-    let prov = providers(&mut g, lab, "", &ProviderNeed::all(), &mut provenance);
-    let mut keyed: HashMap<String, JobId> = HashMap::new();
-
-    let ids: Vec<String> = ids.iter().map(|s| s.to_ascii_lowercase()).collect();
-    let mut slots: Vec<Rc<RefCell<Option<Artifact>>>> = Vec::with_capacity(ids.len());
-    for id in &ids {
-        let label = format!("artifact:{id}");
-        let slot: Rc<RefCell<Option<Artifact>>> = Rc::default();
-        let out = slot.clone();
-
-        // Journal replay: an artifact whose assembly already committed is
-        // re-emitted from its persisted payload, verified against the
-        // journaled digest. Verification failure (deleted / corrupted
-        // payload) falls back to ordinary reassembly.
-        let replayed_artifact = spec.filter(|_| completed.contains(&label)).and_then(|s| {
-            replay.digest_of(&label).and_then(|want| load_artifact(&s.dir, id, want))
-        });
-        if let Some(a) = replayed_artifact {
-            replayed.insert(label.clone());
-            let mut a = Some(a);
-            g.add_driver(label, &[], move || {
-                *out.borrow_mut() = a.take();
-            });
-            slots.push(slot);
-            continue;
-        }
-
-        let mut deps = {
-            let mut cells = Cells {
-                g: &mut g,
-                keyed: &mut keyed,
-                lab,
-                shared: lab.shared(),
-                prov: &prov,
-                completed: &completed,
-                replayed: &mut replayed,
-                prefix: "",
-                provenance: &mut provenance,
-                cfg_digest: &cfg_digest,
-            };
-            cells.deps_for(id)
-        };
-        deps.sort_unstable();
-        deps.dedup();
-        let dep_labels: Vec<String> = deps.iter().map(|&d| g.label_of(d).to_string()).collect();
-        provenance.job(&label, &cfg_digest, &dep_labels);
-        let id_owned = id.clone();
-        let journal_dir = spec.map(|s| s.dir.clone());
-        let digests = &digests;
-        g.add_driver(label.clone(), &deps, move || {
-            let art = super::run(lab, &id_owned);
-            if let Some(dir) = &journal_dir {
-                if let Some(a) = &art {
-                    match persist_artifact(dir, &id_owned, a) {
-                        Ok(fnv) => {
-                            digests.lock().expect("digest table").insert(label.clone(), fnv);
-                        }
-                        Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
-                    }
-                }
-                // Refresh the derived checkpoint after every artifact so a
-                // resumed run finds the memo caches its no-op cells warmed.
-                lab.save_checkpoints();
+    let labs = [LabPlan { lab, prefix: String::new(), need: ProviderNeed::all() }];
+    let targets = ids
+        .iter()
+        .map(|id| {
+            let id = id.to_ascii_lowercase();
+            let (deps_id, run_id) = (id.clone(), id.clone());
+            Target {
+                id,
+                lab: 0,
+                deps: Box::new(move |cells| cells.deps_for(&deps_id)),
+                assemble: Box::new(move |lab| super::run(lab, &run_id)),
             }
-            *out.borrow_mut() = art;
-        });
-        slots.push(slot);
-    }
-
-    // The completion hook: journal every job executed this run (replayed
-    // no-ops are already in the journal) together with its input
-    // provenance, then give the injected fault a chance to kill the
-    // process at this exact boundary.
-    let provenance = provenance; // frozen: the hook only reads it
-    let hook = |d: &JobDone<'_>| {
-        if replayed.contains(d.label) {
-            return;
-        }
-        let Some(w) = &writer else { return };
-        let digest =
-            digests.lock().expect("digest table").get(d.label).cloned().unwrap_or_default();
-        let n = w.append(d.label, d.kind, &digest, d.seconds, d.worker, provenance.inputs_of(d.label));
-        if let Some(f) = spec.and_then(|s| s.fault) {
-            f.check(n);
-        }
-    };
-
-    let run_span = kcb_obs::span("sched", "graph:run")
-        .arg("jobs", g.len())
-        .arg("workers", workers);
-    let scheduler = g.run_hooked(workers, writer.is_some().then_some(&hook as _));
-    run_span.end();
-    jstats.appended = writer.as_ref().map(journal::Writer::appended).unwrap_or(0);
-    jstats.replayed = replayed.len() as u64;
-
-    let artifacts: Vec<(String, Artifact)> = ids
-        .into_iter()
-        .zip(slots)
-        .filter_map(|(id, slot)| slot.borrow_mut().take().map(|a| (id, a)))
+        })
         .collect();
-    let (encoding_hits, encoding_misses) = lab.encodings().hit_miss();
-    let report = PlanReport {
-        scheduler,
-        cache: lab.cache_stats(),
-        encoding_hits,
-        encoding_misses,
-        encoding_entries: lab.encodings().len(),
-        encoding_contended: lab.encodings().contended(),
-        checkpoints: lab.checkpoint_store().map(|s| s.events()).unwrap_or_default(),
-        journal: jstats,
-    };
-    record_counters(&report);
-    (artifacts, report)
-}
-
-/// Persists one assembled artifact's replay payload under the run
-/// directory (tmp + rename, so a crash mid-write can never leave a
-/// payload that passes the digest check) and returns its FNV-64.
-pub(crate) fn persist_artifact(dir: &Path, id: &str, a: &Artifact) -> std::io::Result<String> {
-    let path = journal::artifact_path(dir, id);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let body = a.to_replay_json().render_json(None);
-    let fnv = journal::fnv64_hex(body.as_bytes());
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &body)?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(fnv)
-}
-
-/// Loads a persisted artifact payload when its bytes still match the
-/// journaled digest `want`; otherwise `None` (caller reassembles).
-pub(crate) fn load_artifact(dir: &Path, id: &str, want: &str) -> Option<Artifact> {
-    let path = journal::artifact_path(dir, id);
-    let text = std::fs::read_to_string(&path).ok()?;
-    if journal::fnv64_hex(text.as_bytes()) != want {
-        eprintln!(
-            "warning: journal replay: {} no longer matches its journaled digest; reassembling",
-            path.display()
-        );
-        return None;
-    }
-    Artifact::from_replay_json(&kcb_util::json::parse_value(&text).ok()?)
-}
-
-/// Publishes the run's cache counters to the telemetry recorder so they
-/// land in the exported trace / run metadata alongside the span timeline.
-pub(crate) fn record_counters(r: &PlanReport) {
-    if !kcb_obs::enabled() {
-        return;
-    }
-    for (name, v) in [
-        ("encoding.hits", r.encoding_hits),
-        ("encoding.misses", r.encoding_misses),
-        ("encoding.entries", r.encoding_entries),
-        ("encoding.contended", r.encoding_contended),
-        ("memo.hits", r.cache.memo_hits),
-        ("memo.misses", r.cache.memo_misses),
-        ("forest_cache.hits", r.cache.forest_hits),
-        ("forest_cache.misses", r.cache.forest_misses),
-        ("provider.skips", r.cache.provider_skips),
-    ] {
-        kcb_obs::counter(name, v as u64);
-    }
-    if r.journal.enabled {
-        kcb_obs::counter("journal.replayed", r.journal.replayed);
-    }
+    let run = execute(&labs, targets, workers, spec);
+    (run.artifacts, run.report)
 }

@@ -20,21 +20,19 @@
 //! ChemTEB-style efficiency accounting (shared vs unique jobs, exclusive
 //! vs amortized seconds per variant).
 
-use super::plan::{self, Cells, JournalSpec, PlanReport, Provenance, ProviderNeed, Providers};
+use super::exec::{execute, LabPlan, Target};
+use super::plan::{Cells, JournalSpec, PlanReport, ProviderNeed};
 use super::{scenarios, supervised};
 use crate::dataset::SCENARIOS;
-use crate::journal;
-use crate::lab::{CacheStats, Lab, LabConfig, EMBEDDING_NAMES};
+use crate::lab::{Lab, LabConfig, EMBEDDING_NAMES};
 use crate::report::Artifact;
-use crate::sched::{Graph, JobDone, JobId};
+use crate::sched::JobId;
 use crate::task::TaskKind;
 use kcb_ml::kappa::{fleiss_kappa, ratings_from_answers};
 use kcb_ml::stats::welch_t_test;
 use kcb_util::fmt::metric;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The three NLP paradigms of the paper's central comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -544,7 +542,7 @@ pub fn grid_digest(base: &LabConfig, grid: &GridSpec) -> String {
         text.push('\x1f');
         text.push_str(&Lab::new(cfg.clone()).shared().config_digest());
     }
-    format!("{:016x}", kcb_util::fnv1a(text.as_bytes()))
+    kcb_util::fnv1a_hex(text.as_bytes())
 }
 
 /// One per-task metric row of a variant.
@@ -754,16 +752,6 @@ pub struct SweepSpec {
     pub store: Option<Arc<crate::ckpt::CkptStore>>,
 }
 
-fn add_cache(into: &mut CacheStats, c: CacheStats) {
-    into.memo_hits += c.memo_hits;
-    into.memo_misses += c.memo_misses;
-    into.forest_hits += c.forest_hits;
-    into.forest_misses += c.forest_misses;
-    into.ckpt_hits += c.ckpt_hits;
-    into.ckpt_misses += c.ckpt_misses;
-    into.provider_skips += c.provider_skips;
-}
-
 /// Schedules a variant's cells through the shared [`Cells`] builder.
 fn variant_cells(cells: &mut Cells<'_, '_>, v: &Variant) -> Vec<JobId> {
     TaskKind::ALL
@@ -776,7 +764,11 @@ fn variant_cells(cells: &mut Cells<'_, '_>, v: &Variant) -> Vec<JobId> {
         .collect()
 }
 
-/// Compiles the grid into one structure-shared DAG and runs it.
+/// Compiles the grid into one structure-shared DAG and runs it: the
+/// sweep lowering of the shared journaled executor (`experiment::exec`).
+/// Variants group into labs by `(seed, scale)`, each lab schedules the
+/// union of its variants' provider needs under its digest prefix, and
+/// every variant is one target whose cells come from [`variant_cells`].
 pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOutcome {
     let splan = plan(base, grid);
     let variants = grid.expand(base);
@@ -797,142 +789,58 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
             None => Lab::new(cfg.clone()),
         })
         .collect();
-    let prefixes: Vec<String> = groups.iter().map(|(_, cfg, _)| lab_prefix(cfg)).collect();
-    let cfg_digests: Vec<String> = labs.iter().map(|l| l.shared().config_digest()).collect();
-    let needs: Vec<ProviderNeed> = groups
+    let lab_plans: Vec<LabPlan<'_>> = groups
         .iter()
-        .map(|(_, _, idxs)| {
+        .zip(&labs)
+        .map(|((_, cfg, idxs), lab)| {
             let mut need = ProviderNeed::default();
             for &vi in idxs {
                 need.union(&variants[vi].need());
             }
-            need
+            LabPlan { lab, prefix: lab_prefix(cfg), need }
         })
         .collect();
-
-    let (mut jstats, writer, replay) = plan::open_journal(spec.journal.as_ref());
-    let completed = replay.completed();
-    let digests: Mutex<HashMap<String, String>> = Mutex::new(HashMap::new());
-    let mut replayed: HashSet<String> = HashSet::new();
-
-    let mut g = Graph::new();
-    let mut provenance = Provenance::default();
-    let provs: Vec<Providers> = labs
+    let targets = variants
         .iter()
-        .enumerate()
-        .map(|(li, lab)| plan::providers(&mut g, lab, &prefixes[li], &needs[li], &mut provenance))
-        .collect();
-    let mut keyed: Vec<HashMap<String, JobId>> = vec![HashMap::new(); labs.len()];
-
-    let mut slots: Vec<Rc<RefCell<Option<Artifact>>>> = Vec::with_capacity(variants.len());
-    for (vi, v) in variants.iter().enumerate() {
-        let li = owner[vi];
-        let lab = &labs[li];
-        let vid = v.id();
-        let label = format!("artifact:{vid}");
-        let slot: Rc<RefCell<Option<Artifact>>> = Rc::default();
-        let out = slot.clone();
-
-        // Journal replay: re-emit a committed variant artifact from its
-        // persisted payload, digest-verified; fall back to reassembly.
-        let replayed_artifact =
-            spec.journal.as_ref().filter(|_| completed.contains(&label)).and_then(|s| {
-                replay.digest_of(&label).and_then(|want| plan::load_artifact(&s.dir, &vid, want))
-            });
-        if let Some(a) = replayed_artifact {
-            replayed.insert(label.clone());
-            let mut a = Some(a);
-            g.add_driver(label, &[], move || {
-                *out.borrow_mut() = a.take();
-            });
-            slots.push(slot);
-            continue;
-        }
-
-        let mut deps = {
-            let mut cells = Cells {
-                g: &mut g,
-                keyed: &mut keyed[li],
+        .zip(&owner)
+        .map(|(v, &lab)| {
+            let (cells_v, art_v) = (v.clone(), v.clone());
+            Target {
+                id: v.id(),
                 lab,
-                shared: lab.shared(),
-                prov: &provs[li],
-                completed: &completed,
-                replayed: &mut replayed,
-                prefix: &prefixes[li],
-                provenance: &mut provenance,
-                cfg_digest: &cfg_digests[li],
-            };
-            variant_cells(&mut cells, v)
-        };
-        deps.sort_unstable();
-        deps.dedup();
-        let dep_labels: Vec<String> = deps.iter().map(|&d| g.label_of(d).to_string()).collect();
-        provenance.job(&label, &cfg_digests[li], &dep_labels);
-        let journal_dir = spec.journal.as_ref().map(|s| s.dir.clone());
-        let digests_ref = &digests;
-        let v = v.clone();
-        g.add_driver(label.clone(), &deps, move || {
-            let art = variant_artifact(lab, &v);
-            if let Some(dir) = &journal_dir {
-                match plan::persist_artifact(dir, &v.id(), &art) {
-                    Ok(fnv) => {
-                        digests_ref.lock().expect("digest table").insert(label.clone(), fnv);
-                    }
-                    Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
-                }
-                lab.save_checkpoints();
+                deps: Box::new(move |cells| variant_cells(cells, &cells_v)),
+                assemble: Box::new(move |lab| Some(variant_artifact(lab, &art_v))),
             }
-            *out.borrow_mut() = Some(art);
-        });
-        slots.push(slot);
+        })
+        .collect();
+    let run = execute(&lab_plans, targets, spec.workers, spec.journal.as_ref());
+    // Unjournaled runs never saved during assembly; persist each lab's
+    // derived results once so the next sweep on this store replays them.
+    if spec.journal.is_none() {
+        for lab in &labs {
+            lab.save_checkpoints();
+        }
     }
-
-    let provenance = provenance; // frozen: the hook only reads it
-    let fault = spec.journal.as_ref().and_then(|s| s.fault);
-    let hook = |d: &JobDone<'_>| {
-        if replayed.contains(d.label) {
-            return;
-        }
-        let Some(w) = &writer else { return };
-        let digest =
-            digests.lock().expect("digest table").get(d.label).cloned().unwrap_or_default();
-        let n = w.append(d.label, d.kind, &digest, d.seconds, d.worker, provenance.inputs_of(d.label));
-        if let Some(f) = fault {
-            f.check(n);
-        }
-    };
-
-    let run_span = kcb_obs::span("sched", "sweep:run")
-        .arg("jobs", g.len())
-        .arg("variants", variants.len())
-        .arg("workers", spec.workers);
-    let scheduler = g.run_hooked(spec.workers, writer.is_some().then_some(&hook as _));
-    run_span.end();
-    jstats.appended = writer.as_ref().map(journal::Writer::appended).unwrap_or(0);
-    jstats.replayed = replayed.len() as u64;
 
     // Per-variant outcomes: rows parse back out of the artifact (replayed
     // ones byte-for-byte), cost attribution splits measured job seconds
     // by the plan's reference counts.
+    let report = run.report;
     let seconds: HashMap<&str, f64> =
-        scheduler.jobs.iter().map(|j| (j.label.as_str(), j.seconds)).collect();
+        report.scheduler.jobs.iter().map(|j| (j.label.as_str(), j.seconds)).collect();
     let refs: HashMap<&str, usize> =
         splan.jobs.iter().map(|j| (j.label.as_str(), j.refs)).collect();
-    let artifacts: Vec<(String, Artifact)> = variants
-        .iter()
-        .zip(&slots)
-        .filter_map(|(v, slot)| slot.borrow_mut().take().map(|a| (v.id(), a)))
-        .collect();
     let outcomes: Vec<VariantOutcome> = variants
         .iter()
-        .enumerate()
-        .map(|(vi, v)| {
+        .zip(&owner)
+        .map(|(v, &li)| {
             let vid = v.id();
-            let rows = artifacts
+            let rows = run
+                .artifacts
                 .iter()
                 .find(|(id, _)| *id == vid)
                 .and_then(|(_, a)| rows_from_artifact(a))
-                .unwrap_or_else(|| compute_rows(&labs[owner[vi]], v));
+                .unwrap_or_else(|| compute_rows(&labs[li], v));
             let mine = splan.variant_jobs.get(&vid).cloned().unwrap_or_default();
             let (mut exclusive_s, mut amortized_s, mut shared) = (0.0, 0.0, 0usize);
             for label in &mine {
@@ -953,7 +861,7 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
                 scale: v.scale,
                 scenario: v.scenario,
                 rows,
-                replayed: replayed.contains(&format!("artifact:{vid}")),
+                replayed: run.replayed.contains(&format!("artifact:{vid}")),
                 jobs: mine.len(),
                 shared_jobs: shared,
                 exclusive_s,
@@ -964,41 +872,15 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
 
     let aggregates = aggregate(&outcomes);
     let tests = significance(&outcomes);
-
-    let mut cache = CacheStats::default();
-    let (mut ehits, mut emisses, mut eentries, mut econtended) = (0usize, 0usize, 0usize, 0usize);
-    for lab in &labs {
-        add_cache(&mut cache, lab.cache_stats());
-        let (h, m) = lab.encodings().hit_miss();
-        ehits += h;
-        emisses += m;
-        eentries += lab.encodings().len();
-        econtended += lab.encodings().contended();
-    }
-    let wall_s = scheduler.wall_seconds;
-    let report = PlanReport {
-        scheduler,
-        cache,
-        encoding_hits: ehits,
-        encoding_misses: emisses,
-        encoding_entries: eentries,
-        encoding_contended: econtended,
-        checkpoints: labs
-            .first()
-            .and_then(|l| l.checkpoint_store().map(|s| s.events()))
-            .unwrap_or_default(),
-        journal: jstats,
-    };
-    plan::record_counters(&report);
     SweepOutcome {
         plan: splan,
         variants: outcomes,
         aggregates,
         tests,
         labs: labs.len(),
-        wall_s,
+        wall_s: report.scheduler.wall_seconds,
         report,
-        artifacts,
+        artifacts: run.artifacts,
     }
 }
 
@@ -1254,6 +1136,27 @@ mod tests {
             outcome.variants.iter().filter(|o| o.series.starts_with("icl")).collect();
         assert_eq!(icl.len(), 2);
         assert_eq!(icl[0].rows, icl[1].rows);
+    }
+
+    #[test]
+    fn unjournaled_sweep_saves_derived_results_for_the_next_run() {
+        let dir = std::env::temp_dir().join(format!("kcb-sweep-nojournal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = GridSpec::parse("seeds=7;scenarios=0,1;paradigms=sup;model=random;adapt=naive")
+            .unwrap();
+        // A fresh store handle per run, as two processes would open it.
+        let run = || {
+            let store = Arc::new(crate::ckpt::CkptStore::open(&dir));
+            run_sweep(&tiny(), &g, &SweepSpec { workers: 1, journal: None, store: Some(store) })
+        };
+        let cold = run();
+        assert!(cold.report.cache.memo_misses > 0);
+        let warm = run();
+        assert_eq!(warm.report.cache.memo_misses, 0, "second unjournaled sweep recomputed");
+        for (c, w) in cold.variants.iter().zip(&warm.variants) {
+            assert_eq!(c.rows, w.rows);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! fsynced — which is how the resume path is proven in CI rather than
 //! assumed.
 
+use kcb_util::fnv1a_hex;
 use kcb_util::json::parse_value;
 use serde_json::Value;
 use std::collections::HashSet;
@@ -44,11 +45,6 @@ use std::sync::Mutex;
 
 /// Version of the journal / index record shapes.
 pub const JOURNAL_VERSION: u64 = 1;
-
-/// FNV-1a 64-bit hex digest — the journal's checksum primitive.
-pub fn fnv64_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", kcb_util::fnv1a(bytes))
-}
 
 // ---------------------------------------------------------------------------
 // Records and the line codec.
@@ -124,7 +120,7 @@ impl JobRecord {
 /// Frames `body` as one self-verifying journal line (without newline).
 pub fn encode_line(body: &Value) -> String {
     let text = body.render_json(None);
-    let fnv = fnv64_hex(text.as_bytes());
+    let fnv = fnv1a_hex(text.as_bytes());
     format!("{{\"rec\":{text},\"fnv\":\"{fnv}\"}}")
 }
 
@@ -136,7 +132,7 @@ pub fn decode_line(line: &str) -> Result<Value, String> {
     let body = v.get("rec").ok_or("missing rec field")?;
     let fnv = v.get("fnv").and_then(Value::as_str).ok_or("missing fnv field")?;
     let text = body.render_json(None);
-    if fnv64_hex(text.as_bytes()) != fnv {
+    if fnv1a_hex(text.as_bytes()) != fnv {
         return Err("checksum mismatch".to_string());
     }
     Ok(body.clone())
@@ -201,6 +197,13 @@ impl Replay {
             .rev()
             .find(|r| r.label == label)
             .map(|r| r.digest.as_str())
+    }
+
+    /// Whether a record of `label` with this output digest and these
+    /// inputs is already journaled — appending it again would add
+    /// nothing a later replay could use.
+    pub fn holds(&self, label: &str, digest: &str, inputs: &[String]) -> bool {
+        self.records.iter().any(|r| r.label == label && r.digest == digest && r.inputs == inputs)
     }
 }
 

@@ -258,6 +258,21 @@ pub struct CacheStats {
     pub provider_skips: usize,
 }
 
+/// Field-wise totals, for a run report summed over several labs.
+impl std::iter::Sum for CacheStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, c| Self {
+            memo_hits: a.memo_hits + c.memo_hits,
+            memo_misses: a.memo_misses + c.memo_misses,
+            forest_hits: a.forest_hits + c.forest_hits,
+            forest_misses: a.forest_misses + c.forest_misses,
+            ckpt_hits: a.ckpt_hits + c.ckpt_hits,
+            ckpt_misses: a.ckpt_misses + c.ckpt_misses,
+            provider_skips: a.provider_skips + c.provider_skips,
+        })
+    }
+}
+
 /// The thread-safe core of the experiment environment: every component
 /// that is plain data once built. See the module docs for the split.
 pub struct Shared {
@@ -390,7 +405,7 @@ impl Shared {
     pub fn config_digest(&self) -> String {
         let mut c = self.cfg.clone();
         c.rf.n_threads = 0;
-        format!("{:016x}", kcb_util::fnv1a(format!("{c:?}").as_bytes()))
+        kcb_util::fnv1a_hex(format!("{c:?}").as_bytes())
     }
 
     /// Content key of the derived-results checkpoint: the full config,
@@ -715,9 +730,7 @@ impl Shared {
     /// rather than the keys themselves, so nothing is materialised.
     /// Unknown names get `None`.
     pub fn provider_input_key(&self, name: &str) -> Option<String> {
-        let fp = |parts: &[&str]| {
-            format!("{:016x}", kcb_util::fnv1a(parts.join("\x1f").as_bytes()))
-        };
+        let fp = |parts: &[&str]| kcb_util::fnv1a_hex(parts.join("\x1f").as_bytes());
         let gen = |kind: &str| {
             fp(&[kind, &self.cfg.scale.to_string(), &self.cfg.seed.to_string()])
         };

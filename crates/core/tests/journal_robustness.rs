@@ -7,12 +7,14 @@
 //!    offset and a bit flip in every tail position — asserting that
 //!    replay always yields a clean *prefix* of the original records and
 //!    warns (once) exactly when something was dropped;
-//! 3. an end-to-end resume: a scheduled run killed mid-DAG by an injected
-//!    panic fault, resumed from its journal, must produce byte-identical
-//!    artifacts to an uninterrupted run — with at least one job replayed
-//!    rather than re-executed.
+//! 3. an end-to-end resume, for a scheduled run and for a sweep: killed
+//!    mid-DAG by an injected panic fault and resumed from its journal, it
+//!    must produce byte-identical artifacts to an uninterrupted run — with
+//!    at least one job replayed rather than re-executed — and a rerun of
+//!    the finished journal must append nothing.
 
 use kcb_core::experiment::plan::{run_scheduled_with, JournalSpec};
+use kcb_core::experiment::sweep::{run_sweep, GridSpec, SweepSpec};
 use kcb_core::journal::{
     self, decode_record, encode_record, FaultAction, FaultPlan, JobRecord,
 };
@@ -24,7 +26,7 @@ fn record(seq: u64, label: &str) -> JobRecord {
         seq,
         label: label.to_string(),
         kind: "par".to_string(),
-        digest: journal::fnv64_hex(label.as_bytes()),
+        digest: kcb_util::fnv1a_hex(label.as_bytes()),
         seconds: 0.125 * (seq + 1) as f64,
         worker: seq % 3,
         inputs: vec![format!("cfg={seq:x}"), format!("dep-{seq}=-")],
@@ -235,7 +237,9 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     }
 
     // A second resume over the now-complete journal replays *everything*
-    // — including the artifacts themselves, straight from disk.
+    // — including the artifacts themselves, straight from disk — and
+    // neither re-appends what the journal already holds nor calls itself
+    // a resume.
     let lab = Lab::new(LabConfig::tiny());
     let (warm, warm_report) = run_scheduled_with(&lab, &IDS, 1, Some(&resume_spec));
     assert_eq!(artifact_bytes(&cold), artifact_bytes(&warm));
@@ -243,6 +247,59 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
         warm_report.journal.replayed >= IDS.len() as u64,
         "complete journal should replay at least every artifact"
     );
+    assert_eq!(warm_report.journal.appended, 0, "a finished journal gains no records");
+    assert!(!warm_report.journal.resume, "a finished journal is not resumed");
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
+    const GRID: &str = "seeds=7;scenarios=0,1;paradigms=sup,icl;model=random;adapt=naive";
+    let root = std::env::temp_dir()
+        .join(format!("kcb-journal-sweep-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let _g = kcb_util::pool::ThreadsGuard::new(1);
+    let base = LabConfig::tiny();
+    let grid = GridSpec::parse(GRID).expect("valid grid");
+    // Every `run_sweep` builds fresh labs, so each leg below starts from
+    // cold in-memory caches, like a new process.
+    let sweep = |dir: &str, fault: Option<FaultPlan>| {
+        let journal = Some(JournalSpec { dir: root.join(dir), fault });
+        run_sweep(&base, &grid, &SweepSpec { workers: 1, journal, store: None })
+    };
+
+    let cold = sweep("cold", None);
+    assert!(cold.report.journal.enabled && !cold.report.journal.resume);
+    assert_eq!(cold.artifacts.len(), 4);
+
+    // Crash leg: killed two jobs short of the end, so some variant
+    // artifacts have committed and some have not.
+    let after_jobs = cold.report.journal.appended - 2;
+    let fault = FaultPlan { after_jobs, action: FaultAction::Panic };
+    let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sweep("crash", Some(fault));
+    }));
+    assert!(crashed.is_err(), "the injected fault must actually fire");
+    let journaled = journal::load(&journal::journal_path(&root.join("crash")));
+    assert_eq!(journaled.records.len() as u64, after_jobs);
+
+    let resumed = sweep("crash", None);
+    assert!(resumed.report.journal.resume, "resume must be detected");
+    assert!(resumed.report.journal.replayed > 0, "journaled jobs must be satisfied, not re-run");
+    assert_eq!(
+        artifact_bytes(&cold.artifacts),
+        artifact_bytes(&resumed.artifacts),
+        "resumed variant artifacts must be byte-identical to the uninterrupted sweep"
+    );
+
+    // Rerunning the finished sweep replays every variant and appends
+    // nothing.
+    let warm = sweep("crash", None);
+    assert_eq!(artifact_bytes(&cold.artifacts), artifact_bytes(&warm.artifacts));
+    assert!(warm.variants.iter().all(|v| v.replayed));
+    assert_eq!(warm.report.journal.appended, 0);
+    assert!(!warm.report.journal.resume);
 
     let _ = std::fs::remove_dir_all(&root);
 }

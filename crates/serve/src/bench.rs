@@ -80,18 +80,9 @@ impl BenchConfig {
     }
 }
 
-/// FNV-1a 64-bit fold over `bytes`, continuing from `h` (seed with
-/// [`FNV_OFFSET`]).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a step over a byte slice.
-pub fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The reply checksums fold FNV-1a over each reply, continuing from the
+/// previous state (seed with [`FNV_OFFSET`]).
+pub use kcb_util::{fnv1a_from as fnv64, FNV_OFFSET};
 
 /// The deterministic request stream for one client: a fixed mix of the
 /// hot operations over seeded tokens and triples. Pure function of
