@@ -890,8 +890,8 @@ fn main() -> ExitCode {
     // and are byte-identical at any worker count.
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let (artifacts, report) = run_scheduled_with(&lab, &id_refs, threads, run.spec().as_ref());
-    // Persist the union of loaded + freshly computed derived results so
-    // the next run replays them.
+    // Persist the derived results computed since the last save, so the
+    // next run reads them back.
     lab.save_checkpoints();
     run.after_run(&report);
     eprintln!(

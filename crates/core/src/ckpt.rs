@@ -18,16 +18,21 @@
 //!   named `<provider>-<key16>.ckpt`. Every file carries a container header
 //!   (magic `KCBC`, container version, provider name, key, payload FNV-64
 //!   checksum) followed by a provider-specific payload. Writes go through a
-//!   temp file + rename, so a crashed run never leaves a half-written
-//!   checkpoint under the final name.
+//!   temp file unique to the writing process and call, then a rename, so a
+//!   crashed run never leaves a half-written checkpoint under the final
+//!   name and two processes sharing a store never share a temp file.
+//! * **Derived results** — every memoised score or row, forest run and
+//!   LSTM run is its own `derived-<key16>.ckpt` entry, read on first use
+//!   and written once, by the lab's result table.
 //! * **Fallback** — a missing, truncated, corrupt or version-mismatched
 //!   checkpoint is treated as a miss: one warning line on stderr, then the
 //!   artifact retrains exactly as if the cache were empty. The store can
 //!   slow a run down; it can never change results or make one fail.
 //!
-//! The contract mirrored by the CI warm-cache job: cache state (cold,
-//! warm, corrupt) is a wall-clock knob, never a results knob — a warm run
-//! must produce byte-identical artifact JSON to a cold one.
+//! The contract `kcb-bench`'s `warm_cache` test drives through the built
+//! `repro`: cache state (cold, warm, corrupt) is a wall-clock knob, never
+//! a results knob — a warm run must produce byte-identical artifact JSON
+//! to a cold one.
 
 use kcb_util::bin::{Reader, Writer};
 use kcb_util::mmap::{pack_f32s, Mmap, RawSection};
@@ -51,8 +56,8 @@ pub const SCHEMA_WORDPIECE: u32 = 1;
 pub const SCHEMA_BERT: u32 = 1;
 /// Schema version of the BioGPT-mini weight checkpoint.
 pub const SCHEMA_BIOGPT: u32 = 1;
-/// Schema version of the derived-results cache.
-pub const SCHEMA_DERIVED: u32 = 1;
+/// Schema version of the derived-result entries.
+pub const SCHEMA_DERIVED: u32 = 2;
 
 /// Minimum file age before [`CkptStore::gc`] may evict: anything younger
 /// may still be mid-write (tmp+rename from a concurrent `repro` sharing
@@ -284,11 +289,25 @@ impl CkptStore {
         w.u64(fnv1a(payload));
         w.u64(payload.len() as u64);
         w.raw(payload);
+        self.commit(provider, key, &w.into_bytes());
+    }
+
+    /// A temp path no other write shares: the pid tells processes sharing
+    /// the store apart, the counter tells apart writes within one process.
+    fn tmp_path(&self, provider: &str, key: &str) -> PathBuf {
+        static WRITES: AtomicUsize = AtomicUsize::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        self.dir.join(format!(".{provider}-{key}.{}-{n}.tmp", std::process::id()))
+    }
+
+    /// Writes a finished container through its own temp file and renames
+    /// it into place.
+    fn commit(&self, provider: &str, key: &str, bytes: &[u8]) {
         let path = self.file_path(provider, key);
-        let tmp = self.dir.join(format!(".{provider}-{key}.tmp"));
+        let tmp = self.tmp_path(provider, key);
         let write = || -> std::io::Result<()> {
             std::fs::create_dir_all(&self.dir)?;
-            std::fs::write(&tmp, w.into_bytes())?;
+            std::fs::write(&tmp, bytes)?;
             std::fs::rename(&tmp, &path)
         };
         if let Err(e) = write() {
@@ -326,19 +345,7 @@ impl CkptStore {
         bytes[8..16].copy_from_slice(&(raw_off as u64).to_le_bytes());
         bytes.resize(raw_off, 0);
         bytes.extend_from_slice(&raw);
-        let path = self.file_path(provider, key);
-        let tmp = self.dir.join(format!(".{provider}-{key}.tmp"));
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.dir)?;
-            std::fs::write(&tmp, &bytes)?;
-            std::fs::rename(&tmp, &path)
-        };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write checkpoint {} ({e})", path.display());
-            std::fs::remove_file(&tmp).ok();
-        } else {
-            kcb_obs::counter("ckpt.writes", 1);
-        }
+        self.commit(provider, key, &bytes);
     }
 
     /// Parses a raw container's header, returning `(meta, section)`. The
@@ -641,91 +648,71 @@ pub(crate) fn generic_fp(cfg: &crate::lab::LabConfig) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Derived-results cache: memoised cell scores, memoised row vectors, forest
-// runs and LSTM runs, one payload per full-config digest.
+// Derived results: one entry per memoised score or row, forest run or LSTM
+// run, keyed by the config fingerprint, the result kind and the memo key.
 // ---------------------------------------------------------------------------
 
-const DERIVED_MAGIC: &[u8; 4] = b"KCBD";
-const DERIVED_VERSION: u32 = 1;
+/// One derived result, as the lab's result table holds it and as its
+/// `derived-<key16>.ckpt` entry stores it.
+#[derive(Clone)]
+pub(crate) enum Derived {
+    /// A memoised scalar score (`Shared::memo_score`).
+    Score(f64),
+    /// A memoised row vector (`Shared::memo_vec`).
+    Row(Arc<Vec<f64>>),
+    /// A forest run by `(task, model, adaptation)` key.
+    Forest(Arc<crate::paradigm::ml::ForestRun>),
+    /// An LSTM run by model name.
+    Lstm(Arc<crate::paradigm::ml::LstmRun>),
+}
 
-/// In-memory form of the derived-results cache.
-#[derive(Default)]
-pub(crate) struct Derived {
-    /// Memoised scalar scores (`Shared::memo_score`).
-    pub scores: Vec<(String, f64)>,
-    /// Memoised row vectors (`Shared::memo_vec`).
-    pub vecs: Vec<(String, Vec<f64>)>,
-    /// Forest runs by `(task, model, adaptation)` key.
-    pub forests: Vec<(String, std::sync::Arc<crate::paradigm::ml::ForestRun>)>,
-    /// LSTM runs by model name.
-    pub lstms: Vec<(String, std::sync::Arc<crate::paradigm::ml::LstmRun>)>,
+/// The kind of a [`Derived`] result: part of its entry key, and the
+/// codec its entry decodes with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum DerivedKind {
+    Score,
+    Row,
+    Forest,
+    Lstm,
+}
+
+/// Content key of one derived entry: the schema, the config fingerprint
+/// (thread knobs normalised out), the result kind and the memo key.
+pub(crate) fn derived_key(config_fp: &str, kind: DerivedKind, key: &str) -> String {
+    digest_key(SCHEMA_DERIVED, &[config_fp, &format!("{kind:?}"), key])
 }
 
 impl Derived {
+    /// The entry payload.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.raw(DERIVED_MAGIC);
-        w.u32(DERIVED_VERSION);
-        w.u32(self.scores.len() as u32);
-        for (k, v) in &self.scores {
-            w.str(k);
-            w.f64(*v);
-        }
-        w.u32(self.vecs.len() as u32);
-        for (k, v) in &self.vecs {
-            w.str(k);
-            w.f64s(v);
-        }
-        w.u32(self.forests.len() as u32);
-        for (k, run) in &self.forests {
-            w.str(k);
-            encode_forest_run(run, &mut w);
-        }
-        w.u32(self.lstms.len() as u32);
-        for (k, run) in &self.lstms {
-            w.str(k);
-            w.str(&run.model_name);
-            encode_metrics(&run.metrics, &mut w);
+        match self {
+            Self::Score(v) => w.f64(*v),
+            Self::Row(v) => w.f64s(v),
+            Self::Forest(run) => encode_forest_run(run, &mut w),
+            Self::Lstm(run) => {
+                w.str(&run.model_name);
+                encode_metrics(&run.metrics, &mut w);
+            }
         }
         w.into_bytes()
     }
 
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes, "derived cache");
-        r.magic(DERIVED_MAGIC)?;
-        r.version(DERIVED_VERSION)?;
-        let mut out = Self::default();
-        let n = r.u32()? as usize;
-        r.sized(n, 12)?;
-        for _ in 0..n {
-            let k = r.str()?;
-            out.scores.push((k, r.f64()?));
-        }
-        let n = r.u32()? as usize;
-        r.sized(n, 8)?;
-        for _ in 0..n {
-            let k = r.str()?;
-            out.vecs.push((k, r.f64s()?));
-        }
-        let n = r.u32()? as usize;
-        r.sized(n, 16)?;
-        for _ in 0..n {
-            let k = r.str()?;
-            out.forests.push((k, std::sync::Arc::new(decode_forest_run(&mut r)?)));
-        }
-        let n = r.u32()? as usize;
-        r.sized(n, 40)?;
-        for _ in 0..n {
-            let k = r.str()?;
-            let model_name = r.str()?;
-            let metrics = decode_metrics(&mut r)?;
-            out.lstms.push((
-                k,
-                std::sync::Arc::new(crate::paradigm::ml::LstmRun { model_name, metrics }),
-            ));
-        }
+    /// Decodes a `kind` entry payload. Strict: whatever decodes re-encodes
+    /// to the same bytes, and a decoded forest predicts without panicking.
+    pub fn from_bytes(kind: DerivedKind, bytes: &[u8]) -> Result<Self> {
+        let mut r = Reader::new(bytes, "derived entry");
+        let v = match kind {
+            DerivedKind::Score => Self::Score(r.f64()?),
+            DerivedKind::Row => Self::Row(Arc::new(r.f64s()?)),
+            DerivedKind::Forest => Self::Forest(Arc::new(decode_forest_run(&mut r)?)),
+            DerivedKind::Lstm => Self::Lstm(Arc::new(crate::paradigm::ml::LstmRun {
+                model_name: r.str()?,
+                metrics: decode_metrics(&mut r)?,
+            })),
+        };
         r.finish()?;
-        Ok(out)
+        Ok(v)
     }
 }
 
@@ -762,14 +749,19 @@ fn encode_forest_run(run: &crate::paradigm::ml::ForestRun, w: &mut Writer) {
 }
 
 fn decode_forest_run(r: &mut Reader<'_>) -> Result<crate::paradigm::ml::ForestRun> {
-    let err = |m: &str| kcb_util::Error::parse("derived cache", m.to_string());
+    let err = |m: &str| kcb_util::Error::parse("derived entry", m.to_string());
     let encoder_name = r.str()?;
     let metrics = decode_metrics(r)?;
     let forest = kcb_ml::RandomForest::decode(r)?;
     let test_probs = r.f32s()?;
     let n = r.u32()? as usize;
     r.sized(n, 1)?;
-    let test_labels = (0..n).map(|_| r.u8().map(|b| b != 0)).collect::<Result<Vec<_>>>()?;
+    let test_labels = (0..n)
+        .map(|_| match r.u8()? {
+            b @ (0 | 1) => Ok(b == 1),
+            _ => Err(err("label byte is neither 0 nor 1")),
+        })
+        .collect::<Result<Vec<_>>>()?;
     let n = r.u32()? as usize;
     r.sized(n, 1)?;
     let test_relations = (0..n)
@@ -808,6 +800,11 @@ mod tests {
         assert_ne!(a, digest_key(2, &["cfg", "corpus"]), "schema bump must change the key");
         assert_ne!(a, digest_key(1, &["cfg2", "corpus"]));
         assert_ne!(a, digest_key(1, &["cfg", "corpus2"]));
+        // A derived entry's key separates config, result kind and memo key.
+        let k = derived_key("cfg", DerivedKind::Score, "rf|1");
+        assert_ne!(k, derived_key("cfg2", DerivedKind::Score, "rf|1"));
+        assert_ne!(k, derived_key("cfg", DerivedKind::Row, "rf|1"));
+        assert_ne!(k, derived_key("cfg", DerivedKind::Score, "rf|2"));
     }
 
     fn temp_store(name: &str) -> CkptStore {
@@ -1115,9 +1112,12 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    #[test]
-    fn derived_cache_round_trips() {
+    /// One valid entry of each kind: a score, a row, a small fitted forest
+    /// run and an LSTM run.
+    fn sample_entries() -> Vec<(DerivedKind, Derived)> {
+        use crate::paradigm::ml::{ForestRun, LstmRun};
         use kcb_ml::linalg::Matrix;
+        use kcb_ml::metrics::BinaryMetrics;
         let x = Matrix::from_rows((0..30).map(|i| vec![i as f32, (i % 3) as f32]).collect::<Vec<_>>());
         let y: Vec<bool> = (0..30).map(|i| i % 2 == 0).collect();
         let forest = kcb_ml::RandomForest::fit(
@@ -1125,57 +1125,136 @@ mod tests {
             &y,
             &kcb_ml::RandomForestConfig { n_trees: 3, n_threads: 1, ..Default::default() },
         );
-        let run = crate::paradigm::ml::ForestRun {
+        let run = ForestRun {
             encoder_name: "enc".into(),
-            metrics: kcb_ml::metrics::BinaryMetrics {
-                accuracy: 0.5,
-                precision: 0.25,
-                recall: 0.75,
-                f1: 0.375,
-            },
+            metrics: BinaryMetrics { accuracy: 0.5, precision: 0.25, recall: 0.75, f1: 0.375 },
             forest,
             test_probs: vec![0.1, 0.9],
             test_labels: vec![false, true],
             test_relations: vec![kcb_ontology::Relation::IsA, kcb_ontology::Relation::HasRole],
             importances: vec![0.5, 0.5],
         };
-        let d = Derived {
-            scores: vec![("rf|1".into(), 0.125)],
-            vecs: vec![("icl|1".into(), vec![1.0, -2.5])],
-            forests: vec![("1|random|naive".into(), std::sync::Arc::new(run))],
-            lstms: vec![(
-                "random".into(),
-                std::sync::Arc::new(crate::paradigm::ml::LstmRun {
-                    model_name: "random".into(),
-                    metrics: kcb_ml::metrics::BinaryMetrics {
-                        accuracy: 1.0,
-                        precision: 1.0,
-                        recall: 0.0,
-                        f1: 0.0,
-                    },
-                }),
-            )],
+        let lstm = LstmRun {
+            model_name: "random".into(),
+            metrics: BinaryMetrics { accuracy: 1.0, precision: 1.0, recall: 0.0, f1: 0.0 },
         };
-        let bytes = d.to_bytes();
-        let e = Derived::from_bytes(&bytes).expect("decode");
-        assert_eq!(e.scores, d.scores);
-        assert_eq!(e.vecs, d.vecs);
-        assert_eq!(e.lstms.len(), 1);
-        assert_eq!(e.lstms[0].1.model_name, "random");
-        assert_eq!(e.forests.len(), 1);
-        let (k, run2) = &e.forests[0];
-        assert_eq!(k, "1|random|naive");
-        assert_eq!(run2.encoder_name, "enc");
-        assert_eq!(run2.metrics.f1, 0.375);
-        assert_eq!(run2.test_probs, vec![0.1, 0.9]);
-        assert_eq!(run2.test_relations, d.forests[0].1.test_relations);
-        assert_eq!(
-            run2.forest.predict_proba(&[3.0, 1.0]).to_bits(),
-            d.forests[0].1.forest.predict_proba(&[3.0, 1.0]).to_bits()
-        );
-        // Truncations error cleanly.
-        for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Derived::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        vec![
+            (DerivedKind::Score, Derived::Score(0.125)),
+            (DerivedKind::Row, Derived::Row(Arc::new(vec![1.0, -2.5]))),
+            (DerivedKind::Forest, Derived::Forest(Arc::new(run))),
+            (DerivedKind::Lstm, Derived::Lstm(Arc::new(lstm))),
+        ]
+    }
+
+    #[test]
+    fn derived_entries_round_trip_per_kind() {
+        for (kind, d) in sample_entries() {
+            let bytes = d.to_bytes();
+            let back = Derived::from_bytes(kind, &bytes).expect("decode");
+            assert_eq!(back.to_bytes(), bytes, "{kind:?} must re-encode to its input");
+            match (&d, &back) {
+                (Derived::Score(a), Derived::Score(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+                (Derived::Row(a), Derived::Row(b)) => assert_eq!(a, b),
+                (Derived::Forest(a), Derived::Forest(b)) => {
+                    assert_eq!(b.encoder_name, "enc");
+                    assert_eq!(b.metrics.f1, 0.375);
+                    assert_eq!(b.test_probs, a.test_probs);
+                    assert_eq!(b.test_relations, a.test_relations);
+                    assert_eq!(
+                        b.forest.predict_proba(&[3.0, 1.0]).to_bits(),
+                        a.forest.predict_proba(&[3.0, 1.0]).to_bits()
+                    );
+                }
+                (Derived::Lstm(a), Derived::Lstm(b)) => {
+                    assert_eq!(b.model_name, a.model_name);
+                    assert_eq!(b.metrics.accuracy, a.metrics.accuracy);
+                }
+                _ => panic!("{kind:?} decoded into another kind"),
+            }
+            // Truncations and trailing bytes error cleanly.
+            for cut in [0, 5, bytes.len() / 2, bytes.len() - 1] {
+                assert!(Derived::from_bytes(kind, &bytes[..cut]).is_err(), "{kind:?} cut {cut}");
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(Derived::from_bytes(kind, &long).is_err(), "{kind:?} trailing byte");
         }
+    }
+
+    /// Decoding `bytes` as a `kind` entry must not panic; when it succeeds
+    /// the entry must re-encode to `bytes`, and a forest must predict on a
+    /// zero row of its own width.
+    fn decodes_strictly(kind: DerivedKind, bytes: &[u8]) -> std::result::Result<(), proptest::TestCaseError> {
+        if let Ok(d) = Derived::from_bytes(kind, bytes) {
+            proptest::prop_assert_eq!(d.to_bytes(), bytes.to_vec(), "{:?} is not canonical", kind);
+            if let Derived::Forest(run) = &d {
+                // Any leaf value is possible; the walk must simply return.
+                std::hint::black_box(run.forest.predict_proba(&vec![0.0; run.forest.n_features()]));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn every_cut_and_bit_flip_of_a_derived_entry_decodes_strictly() {
+        for (kind, d) in sample_entries() {
+            let bytes = d.to_bytes();
+            for cut in 0..bytes.len() {
+                decodes_strictly(kind, &bytes[..cut]).unwrap();
+            }
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    decodes_strictly(kind, &flipped).unwrap();
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn derived_entries_decode_strictly(
+            kind_ix in 0usize..4,
+            noise in proptest::prop::collection::vec(proptest::any::<u8>(), 0..300),
+            frac in 0.0f64..1.0,
+            bit in 0u8..8,
+        ) {
+            let entries = sample_entries();
+            let (kind, valid) = (entries[kind_ix].0, entries[kind_ix].1.to_bytes());
+            let at = ((frac * valid.len() as f64) as usize).min(valid.len() - 1);
+            // Arbitrary bytes, on their own and after a valid prefix.
+            decodes_strictly(kind, &noise)?;
+            let mut spliced = valid[..at].to_vec();
+            spliced.extend(&noise);
+            decodes_strictly(kind, &spliced)?;
+            // A truncation and a single-bit flip of a valid entry.
+            decodes_strictly(kind, &valid[..at])?;
+            let mut flipped = valid.clone();
+            flipped[at] ^= 1 << bit;
+            decodes_strictly(kind, &flipped)?;
+        }
+    }
+
+    #[test]
+    fn two_writes_of_one_key_use_distinct_temp_files() {
+        let store = temp_store("tmpname");
+        assert_ne!(store.tmp_path("unit", "k"), store.tmp_path("unit", "k"));
+        for v in [1u64, 2] {
+            let mut w = Writer::new();
+            w.u64(v);
+            store.put("unit", "k", &w.into_bytes());
+        }
+        store.put_raw("unit", "r", b"m", &[&[1.0f32, 2.0]]);
+        assert_eq!(store.take("unit", "k", decode_u64), Some(2));
+        let names: Vec<String> = std::fs::read_dir(store.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| !n.ends_with(".tmp")), "temp file left behind: {names:?}");
+        assert_eq!(names.len(), 2);
+        std::fs::remove_dir_all(store.dir()).ok();
     }
 }

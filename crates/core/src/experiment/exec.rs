@@ -152,8 +152,8 @@ pub(crate) fn execute(
                         Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
                     }
                 }
-                // Refresh the derived checkpoint after every artifact so a
-                // resumed run finds the memo caches its no-op cells warmed.
+                // Save the results computed since the last assembly, so a
+                // resumed run reads back what its no-op cells computed.
                 lab.save_checkpoints();
             }
             *out.borrow_mut() = art;

@@ -11,11 +11,12 @@
 //! Since PR 2 the environment is split along the `Send`/`Sync` boundary:
 //!
 //! * [`Shared`] holds everything that is plain data once built — ontology,
-//!   datasets, corpora, embeddings, WordPiece, the forest/LSTM/score memo
-//!   caches and the [`crate::compose::EncodingCache`]. All of its caches
-//!   are thread-safe (`OnceLock` / mutex-guarded slot maps), so the cell
-//!   scheduler's worker threads can warm them concurrently; a slot that is
-//!   being computed blocks later requesters instead of recomputing.
+//!   datasets, corpora, embeddings, WordPiece, the result table of memoised
+//!   scores, rows, forest and LSTM runs, and the
+//!   [`crate::compose::EncodingCache`]. All of its caches are thread-safe
+//!   (`OnceLock` / mutex-guarded slot maps), so the cell scheduler's worker
+//!   threads can warm them concurrently; a slot that is being computed
+//!   blocks later requesters instead of recomputing.
 //! * [`Lab`] wraps a [`Shared`] and adds the two language models. Their
 //!   autograd tensors are `Rc<RefCell<…>>`-based (`!Send`), so BERT and
 //!   BioGPT live only on the thread that owns the `Lab` — the scheduler's
@@ -23,7 +24,7 @@
 //!   are oblivious to the split.
 
 use crate::adapt::{task_oriented_stopwords, Adaptation, TaskOrientedConfig};
-use crate::ckpt::{self, CkptStore};
+use crate::ckpt::{self, CkptStore, Derived, DerivedKind};
 use crate::dataset::Split;
 use crate::paradigm::ml::{run_lstm, ForestRun, LstmRun};
 use crate::task::{positive_triples, TaskDataset, TaskKind};
@@ -224,18 +225,10 @@ pub const EMBEDDING_NAMES: [&str; 5] = ["random", "glove", "w2v-chem", "glove-ch
 /// without holding the map — concurrent requests for *different* keys
 /// proceed in parallel, concurrent requests for the *same* key compute
 /// once and share.
-type SlotMap<T> = Mutex<HashMap<String, Arc<OnceLock<T>>>>;
+type SlotMap<K, T> = Mutex<HashMap<K, Arc<OnceLock<T>>>>;
 
-fn slot<T>(map: &SlotMap<T>, key: &str) -> Arc<OnceLock<T>> {
-    let mut m = map.lock();
-    match m.get(key) {
-        Some(s) => s.clone(),
-        None => {
-            let s = Arc::new(OnceLock::new());
-            m.insert(key.to_string(), s.clone());
-            s
-        }
-    }
+fn slot<K: std::hash::Hash + Eq, T>(map: &SlotMap<K, T>, key: K) -> Arc<OnceLock<T>> {
+    map.lock().entry(key).or_default().clone()
 }
 
 /// Hit/miss counters for the lab's memo caches, reported by the scheduler.
@@ -277,6 +270,10 @@ impl std::iter::Sum for CacheStats {
 /// that is plain data once built. See the module docs for the split.
 pub struct Shared {
     cfg: LabConfig,
+    /// The config's `Debug` rendering with the forest thread knob
+    /// normalised out: thread count is a wall-clock knob, never a results
+    /// knob.
+    config_fp: String,
     ckpt: Option<Arc<CkptStore>>,
     ontology: OnceLock<Ontology>,
     tasks: [OnceLock<TaskDataset>; 3],
@@ -289,12 +286,13 @@ pub struct Shared {
     glove_chem: OnceLock<EmbeddingTable>,
     biowordvec: OnceLock<FastText>,
     wordpiece: OnceLock<WordPiece>,
-    stopwords: SlotMap<HashSet<String>>,
-    forest_runs: SlotMap<Arc<ForestRun>>,
-    lstm_runs: SlotMap<Arc<LstmRun>>,
+    stopwords: SlotMap<String, HashSet<String>>,
+    /// Every derived result by kind and memo key; see [`Shared::result`].
+    results: SlotMap<(DerivedKind, String), Derived>,
+    /// Results computed since the last [`Shared::save_checkpoints`], by
+    /// entry key.
+    unsaved: Mutex<Vec<(String, Derived)>>,
     encodings: crate::compose::EncodingCache,
-    memo_scores: SlotMap<f64>,
-    memo_vecs: SlotMap<Arc<Vec<f64>>>,
     memo_hits: AtomicUsize,
     memo_misses: AtomicUsize,
     forest_hits: AtomicUsize,
@@ -305,8 +303,11 @@ pub struct Shared {
 impl Shared {
     fn new(cfg: LabConfig, ckpt: Option<Arc<CkptStore>>) -> Self {
         let random = RandomEmbedding::with_dim(cfg.embed_dim);
+        let mut c = cfg.clone();
+        c.rf.n_threads = 0;
         Self {
             cfg,
+            config_fp: format!("{c:?}"),
             ckpt,
             ontology: OnceLock::new(),
             tasks: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
@@ -320,11 +321,9 @@ impl Shared {
             biowordvec: OnceLock::new(),
             wordpiece: OnceLock::new(),
             stopwords: Mutex::new(HashMap::new()),
-            forest_runs: Mutex::new(HashMap::new()),
-            lstm_runs: Mutex::new(HashMap::new()),
+            results: Mutex::new(HashMap::new()),
+            unsaved: Mutex::new(Vec::new()),
             encodings: crate::compose::EncodingCache::new(),
-            memo_scores: Mutex::new(HashMap::new()),
-            memo_vecs: Mutex::new(HashMap::new()),
             memo_hits: AtomicUsize::new(0),
             memo_misses: AtomicUsize::new(0),
             forest_hits: AtomicUsize::new(0),
@@ -349,31 +348,62 @@ impl Shared {
     /// from any thread; concurrent same-key calls compute once (the rest
     /// block on the slot), different keys run in parallel.
     pub fn memo_score(&self, key: String, compute: impl FnOnce() -> f64) -> f64 {
-        let s = slot(&self.memo_scores, &key);
-        if let Some(v) = s.get() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return *v;
-        }
-        *s.get_or_init(|| {
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            compute()
-        })
+        let score = || Derived::Score(compute());
+        let Derived::Score(v) = self.result(DerivedKind::Score, key, score) else {
+            unreachable!("score slots hold scores")
+        };
+        v
     }
 
     /// Memoises an expensive result row (a fixed-width vector of numbers)
     /// under a caller-chosen key — the vector-valued sibling of
     /// [`Shared::memo_score`], sharing its hit/miss counters. Table runners
-    /// use it for rows the derived-results checkpoint can replay (a Table 4
+    /// use it for rows a derived checkpoint entry can replay (a Table 4
     /// fine-tuning row, a Table 5 ICL result).
     pub fn memo_vec(&self, key: String, compute: impl FnOnce() -> Vec<f64>) -> Arc<Vec<f64>> {
-        let s = slot(&self.memo_vecs, &key);
+        let row = || Derived::Row(Arc::new(compute()));
+        let Derived::Row(v) = self.result(DerivedKind::Row, key, row) else {
+            unreachable!("row slots hold rows")
+        };
+        v
+    }
+
+    /// The result table's one lookup. A filled slot is a hit. An empty
+    /// slot first reads its `derived` checkpoint entry, which also counts
+    /// as a hit; failing that it computes the result, counts a miss and
+    /// queues the result for [`Shared::save_checkpoints`]. Scores and rows
+    /// count as memo hits/misses, forest runs as forest hits/misses, LSTM
+    /// runs not at all.
+    fn result(&self, kind: DerivedKind, key: String, compute: impl FnOnce() -> Derived) -> Derived {
+        let counters = match kind {
+            DerivedKind::Score | DerivedKind::Row => Some((&self.memo_hits, &self.memo_misses)),
+            DerivedKind::Forest => Some((&self.forest_hits, &self.forest_misses)),
+            DerivedKind::Lstm => None,
+        };
+        let count = |hit: bool| {
+            if let Some((hits, misses)) = counters {
+                (if hit { hits } else { misses }).fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let s = slot(&self.results, (kind, key.clone()));
         if let Some(v) = s.get() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            count(true);
             return v.clone();
         }
         s.get_or_init(|| {
-            self.memo_misses.fetch_add(1, Ordering::Relaxed);
-            Arc::new(compute())
+            let store = self.ckpt.as_deref();
+            let entry = ckpt::derived_key(&self.config_fp, kind, &key);
+            let decode = |b: &[u8]| Derived::from_bytes(kind, b);
+            if let Some(v) = store.and_then(|st| st.take("derived", &entry, decode)) {
+                count(true);
+                return v;
+            }
+            count(false);
+            let v = compute();
+            if store.is_some() {
+                self.unsaved.lock().push((entry, v.clone()));
+            }
+            v
         })
         .clone()
     }
@@ -403,74 +433,18 @@ impl Shared {
     /// (`results/runs/<config-digest>/`), so re-running the same config
     /// resumes the same journal at any worker count.
     pub fn config_digest(&self) -> String {
-        let mut c = self.cfg.clone();
-        c.rf.n_threads = 0;
-        kcb_util::fnv1a_hex(format!("{c:?}").as_bytes())
+        kcb_util::fnv1a_hex(self.config_fp.as_bytes())
     }
 
-    /// Content key of the derived-results checkpoint: the full config,
-    /// with the forest's thread knob normalised out (thread count is a
-    /// wall-clock knob, never a results knob).
-    fn derived_key(&self) -> String {
-        let mut c = self.cfg.clone();
-        c.rf.n_threads = 0;
-        ckpt::digest_key(ckpt::SCHEMA_DERIVED, &[&format!("{c:?}")])
-    }
-
-    /// Prefills the memo/forest/LSTM slot maps from the derived-results
-    /// checkpoint (no-op without a store or on a cold/missing cache).
-    fn load_derived(&self) {
-        let Some(store) = self.ckpt.as_deref() else { return };
-        let Some(d) = store.take("derived", &self.derived_key(), ckpt::Derived::from_bytes)
-        else {
-            return;
-        };
-        for (k, v) in d.scores {
-            let _ = slot(&self.memo_scores, &k).set(v);
-        }
-        for (k, v) in d.vecs {
-            let _ = slot(&self.memo_vecs, &k).set(Arc::new(v));
-        }
-        for (k, run) in d.forests {
-            let _ = slot(&self.forest_runs, &k).set(run);
-        }
-        for (k, run) in d.lstms {
-            let _ = slot(&self.lstm_runs, &k).set(run);
-        }
-    }
-
-    /// Writes the derived-results checkpoint: every memoised score/row,
-    /// forest run and LSTM run computed (or replayed) so far. Entries are
-    /// sorted by key so the payload bytes are deterministic. No-op without
-    /// a store.
+    /// Writes one `derived` checkpoint entry per result computed since the
+    /// last save; results read from the store are never rewritten, so a
+    /// second save writes nothing. No-op without a store.
     pub fn save_checkpoints(&self) {
         let Some(store) = self.ckpt.as_deref() else { return };
-        let mut d = ckpt::Derived::default();
-        for (k, s) in self.memo_scores.lock().iter() {
-            if let Some(v) = s.get() {
-                d.scores.push((k.clone(), *v));
-            }
+        let unsaved = std::mem::take(&mut *self.unsaved.lock());
+        for (key, v) in unsaved {
+            store.put("derived", &key, &v.to_bytes());
         }
-        for (k, s) in self.memo_vecs.lock().iter() {
-            if let Some(v) = s.get() {
-                d.vecs.push((k.clone(), (**v).clone()));
-            }
-        }
-        for (k, s) in self.forest_runs.lock().iter() {
-            if let Some(run) = s.get() {
-                d.forests.push((k.clone(), run.clone()));
-            }
-        }
-        for (k, s) in self.lstm_runs.lock().iter() {
-            if let Some(run) = s.get() {
-                d.lstms.push((k.clone(), run.clone()));
-            }
-        }
-        d.scores.sort_by(|a, b| a.0.cmp(&b.0));
-        d.vecs.sort_by(|a, b| a.0.cmp(&b.0));
-        d.forests.sort_by(|a, b| a.0.cmp(&b.0));
-        d.lstms.sort_by(|a, b| a.0.cmp(&b.0));
-        store.put("derived", &self.derived_key(), &d.to_bytes());
     }
 
     /// The configuration.
@@ -845,55 +819,54 @@ impl Shared {
             "pubmedbert forests need the driver-only BERT; call Lab::forest_run"
         );
         let key = format!("{}|{model}|{adapt_kind}", task.number());
-        let s = slot(&self.forest_runs, &key);
-        if let Some(run) = s.get() {
-            self.forest_hits.fetch_add(1, Ordering::Relaxed);
-            return run.clone();
-        }
-        s.get_or_init(|| {
-            self.forest_misses.fetch_add(1, Ordering::Relaxed);
+        self.forest_result(key, || {
             let split = self.split(task);
             let train = &split.train[..split.train.len().min(self.cfg.train_cap)];
             let adaptation = self.adaptation(adapt_kind, model);
             let enc = crate::compose::TokenAvgEncoder::new(self.embedding(model), adaptation);
-            Arc::new(crate::paradigm::ml::run_forest_cached(
+            crate::paradigm::ml::run_forest_cached(
                 self.ontology(),
                 train,
                 &split.test,
                 &enc,
                 &self.cfg.rf,
                 Some(&self.encodings),
-            ))
+            )
         })
-        .clone()
     }
 
-    /// Slot accessor used by [`Lab::forest_run`] for the BERT-backed model
-    /// so both paths share one cache (and its hit/miss counters).
-    fn forest_slot(&self, key: &str) -> Arc<OnceLock<Arc<ForestRun>>> {
-        slot(&self.forest_runs, key)
+    /// The forest-run lookup shared by [`Shared::forest_run`] and, for the
+    /// BERT-backed model, [`Lab::forest_run`]: one cache, one pair of
+    /// hit/miss counters.
+    fn forest_result(&self, key: String, fit: impl FnOnce() -> ForestRun) -> Arc<ForestRun> {
+        let run = || Derived::Forest(Arc::new(fit()));
+        let Derived::Forest(run) = self.result(DerivedKind::Forest, key, run) else {
+            unreachable!("forest slots hold forest runs")
+        };
+        run
     }
 
     /// A trained+evaluated LSTM run on Task 1's canonical split (Table A6),
     /// cached per embedding model. Uses the table's historical caps: train
     /// capped at `train_cap / 4`, test at 1,500 rows, naive adaptation.
     pub fn lstm_run(&self, model: &str) -> Arc<LstmRun> {
-        let s = slot(&self.lstm_runs, model);
-        s.get_or_init(|| {
+        let Derived::Lstm(run) = self.result(DerivedKind::Lstm, model.to_string(), || {
             let split = self.split(TaskKind::RandomNegatives);
             let cap = (self.cfg.train_cap / 4).max(200).min(split.train.len());
             let test_cap = split.test.len().min(1_500);
             let adaptation = self.adaptation("naive", model);
-            Arc::new(run_lstm(
+            Derived::Lstm(Arc::new(run_lstm(
                 self.ontology(),
                 &split.train[..cap],
                 &split.test[..test_cap],
                 self.embedding(model),
                 &adaptation,
                 &self.cfg.lstm,
-            ))
-        })
-        .clone()
+            )))
+        }) else {
+            unreachable!("LSTM slots hold LSTM runs")
+        };
+        run
     }
 
     /// The adaptation of the given kind (`"none"` / `"naive"` /
@@ -905,7 +878,7 @@ impl Shared {
             "none" => Adaptation::None,
             "naive" => Adaptation::Naive,
             "task-oriented" => {
-                let s = slot(&self.stopwords, model_name);
+                let s = slot(&self.stopwords, model_name.to_string());
                 let stop = s.get_or_init(|| {
                     let positives = positive_triples(self.ontology(), TaskKind::RandomNegatives);
                     task_oriented_stopwords(
@@ -952,17 +925,16 @@ impl Lab {
 
     /// Creates an environment backed by a persistent checkpoint store:
     /// every provider loads from the store when a matching checkpoint
-    /// exists and trains (then saves) otherwise, and previously computed
-    /// derived results (memo scores/rows, forest and LSTM runs) are
-    /// replayed from the store's derived cache. Call
-    /// [`Shared::save_checkpoints`] after a run to persist the union.
+    /// exists and trains (then saves) otherwise, and each derived result
+    /// (memo score or row, forest or LSTM run) is read from its own store
+    /// entry on first use. Call [`Shared::save_checkpoints`] to persist
+    /// the results computed since the last save.
     pub fn with_checkpoints(cfg: LabConfig, store: Arc<CkptStore>) -> Self {
         Self::build(cfg, Some(store))
     }
 
     fn build(cfg: LabConfig, store: Option<Arc<CkptStore>>) -> Self {
         let shared = Arc::new(Shared::new(cfg, store));
-        shared.load_derived();
         Self { shared, bert: OnceCell::new(), biogpt: OnceCell::new() }
     }
 
@@ -1160,28 +1132,21 @@ impl Lab {
             return self.shared.forest_run(task, model, adapt_kind);
         }
         let key = format!("{}|{model}|{adapt_kind}", task.number());
-        let s = self.shared.forest_slot(&key);
-        if let Some(run) = s.get() {
-            self.shared.forest_hits.fetch_add(1, Ordering::Relaxed);
-            return run.clone();
-        }
-        s.get_or_init(|| {
-            self.shared.forest_misses.fetch_add(1, Ordering::Relaxed);
+        self.shared.forest_result(key, || {
             let split = self.split(task);
             let train = &split.train[..split.train.len().min(self.shared.cfg.train_cap)];
             let (bert, snapshot) = self.bert();
             bert.restore(snapshot); // guarantee the pre-trained state
             let enc = crate::compose::BertClsEncoder::new(bert, self.wordpiece());
-            Arc::new(crate::paradigm::ml::run_forest_cached(
+            crate::paradigm::ml::run_forest_cached(
                 self.ontology(),
                 train,
                 &split.test,
                 &enc,
                 &self.shared.cfg.rf,
                 Some(&self.shared.encodings),
-            ))
+            )
         })
-        .clone()
     }
 }
 
@@ -1321,7 +1286,7 @@ mod tests {
         let (_, cold_snapshot) = cold.bert();
         let stats = cold.cache_stats();
         assert_eq!(stats.ckpt_hits, 0, "first run must train everything");
-        assert!(stats.ckpt_misses >= 6, "derived + 4 embeddings + wordpiece + bert missed");
+        assert_eq!(stats.ckpt_misses, 6, "4 embeddings + wordpiece + bert missed");
 
         let warm = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
         assert_eq!(
@@ -1343,7 +1308,7 @@ mod tests {
             assert_eq!(a.as_slice(), b.as_slice(), "bert weights must replay bit-identically");
         }
         let stats = warm.cache_stats();
-        assert_eq!(stats.ckpt_misses, 1, "only the derived cache missed (none saved yet)");
+        assert_eq!(stats.ckpt_misses, 0, "building a lab reads no derived entry");
         assert_eq!(stats.ckpt_hits, 6, "4 embeddings + wordpiece + bert served from disk");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1373,11 +1338,98 @@ mod tests {
         );
         assert_eq!(warm.lstm_run("random").metrics.accuracy, lstm.metrics.accuracy);
         let stats = warm.cache_stats();
-        assert!(stats.ckpt_hits >= 1, "derived cache must hit");
-        assert!(
-            warm.cache_stats().forest_hits >= 1,
-            "prefilled forest slot must count as a hit"
-        );
+        assert_eq!(stats.ckpt_hits, 4, "one derived entry per result");
+        assert_eq!((stats.memo_hits, stats.memo_misses), (2, 0), "store hits count as memo hits");
+        assert_eq!((stats.forest_hits, stats.forest_misses), (1, 0), "and as forest hits");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The `derived-*.ckpt` entries in a store directory.
+    fn derived_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+        let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+        let mut files: Vec<_> = entries
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("derived-"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn save_writes_each_computed_result_once() {
+        let dir = temp_ckpt_dir("save-once");
+        let cold = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        cold.memo_score("a".to_string(), || 0.25);
+        cold.memo_vec("b".to_string(), || vec![1.0]);
+        assert!(derived_files(&dir).is_empty(), "nothing is written before a save");
+        cold.save_checkpoints();
+        let written = derived_files(&dir);
+        assert_eq!(written.len(), 2, "one entry per result");
+        // Delete the entries: whatever a later save writes reappears.
+        for f in &written {
+            std::fs::remove_file(f).unwrap();
+        }
+        cold.save_checkpoints();
+        assert!(derived_files(&dir).is_empty(), "a second save must write nothing");
+
+        // Results read from the store are not rewritten either.
+        cold.memo_score("c".to_string(), || 0.5);
+        cold.save_checkpoints();
+        let warm = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        assert_eq!(warm.memo_score("c".to_string(), || panic!("must hit")), 0.5);
+        std::fs::remove_file(&derived_files(&dir)[0]).unwrap();
+        warm.save_checkpoints();
+        assert!(derived_files(&dir).is_empty(), "a store hit is never written back");
+
+        // A cold store recomputes every result and writes each one.
+        let cold_store = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::cold(&dir)));
+        let mut computed = false;
+        cold_store.memo_score("c".to_string(), || {
+            computed = true;
+            0.5
+        });
+        assert!(computed, "--cold must recompute");
+        cold_store.save_checkpoints();
+        assert_eq!(derived_files(&dir).len(), 1, "--cold writes every computed result");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_derived_entry_recomputes_only_its_own_result() {
+        let dir = temp_ckpt_dir("derived-corrupt");
+        let cold = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        cold.memo_score("a".to_string(), || 0.25);
+        cold.memo_score("b".to_string(), || 0.5);
+        cold.memo_vec("c".to_string(), || vec![1.0, 2.0]);
+        cold.save_checkpoints();
+        let key = ckpt::derived_key(&cold.config_fp, DerivedKind::Score, "a");
+        let path = dir.join(format!("derived-{key}.ckpt"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let warm = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        let mut recomputed = 0;
+        let a = warm.memo_score("a".to_string(), || {
+            recomputed += 1;
+            0.25
+        });
+        assert_eq!((a, recomputed), (0.25, 1), "the damaged result is recomputed");
+        assert_eq!(warm.memo_score("b".to_string(), || panic!("b must hit")), 0.5);
+        assert_eq!(*warm.memo_vec("c".to_string(), || panic!("c must hit")), vec![1.0, 2.0]);
+        let events = warm.checkpoint_store().unwrap().events();
+        let unusable: Vec<_> = events.iter().filter(|e| !e.hit).collect();
+        assert_eq!(unusable.len(), 1, "one lookup falls back, with one warning");
+        assert_eq!((unusable[0].key.as_str(), unusable[0].bytes), (key.as_str(), bytes.len() as u64));
+        assert_eq!(events.iter().filter(|e| e.hit).count(), 2, "the other results still hit");
+        assert_eq!((warm.cache_stats().memo_hits, warm.cache_stats().memo_misses), (2, 1));
+
+        // The save repairs the damaged entry, and only that one.
+        warm.save_checkpoints();
+        let again = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        assert_eq!(again.memo_score("a".to_string(), || panic!("repaired")), 0.25);
+        assert_eq!(derived_files(&dir).len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

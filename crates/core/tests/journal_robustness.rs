@@ -10,9 +10,12 @@
 //! 3. an end-to-end resume, for a scheduled run and for a sweep: killed
 //!    mid-DAG by an injected panic fault and resumed from its journal, it
 //!    must produce byte-identical artifacts to an uninterrupted run — with
-//!    at least one job replayed rather than re-executed — and a rerun of
-//!    the finished journal must append nothing.
+//!    at least one job replayed rather than re-executed, and, for the
+//!    scheduled run, derived results saved before the fault read back from
+//!    the checkpoint store — and a rerun of the finished journal must
+//!    append nothing and look up no derived result.
 
+use kcb_core::ckpt::{CkptEvent, CkptStore};
 use kcb_core::experiment::plan::{run_scheduled_with, JournalSpec};
 use kcb_core::experiment::sweep::{run_sweep, GridSpec, SweepSpec};
 use kcb_core::journal::{
@@ -20,6 +23,7 @@ use kcb_core::journal::{
 };
 use kcb_core::lab::{Lab, LabConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn record(seq: u64, label: &str) -> JobRecord {
     JobRecord {
@@ -182,7 +186,10 @@ fn artifact_bytes(arts: &[(String, kcb_core::report::Artifact)]) -> Vec<(String,
 
 #[test]
 fn interrupted_run_resumes_to_byte_identical_artifacts() {
-    const IDS: [&str; 2] = ["table2", "table3a"];
+    // Figure A1 reads a subset of Table 3a's forests and adds no cells of
+    // its own, so its assembly is the last job and runs right after
+    // Table 3a's, which saves those forests to the store.
+    const IDS: [&str; 3] = ["table2", "table3a", "figa1"];
     let root = std::env::temp_dir()
         .join(format!("kcb-journal-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -195,17 +202,23 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     assert!(cold_report.journal.enabled && !cold_report.journal.resume);
     assert!(cold_report.journal.appended > 4, "reference run journals its jobs");
 
-    // Crash leg: same config, fresh journal dir, killed two jobs short of
+    // Crash leg: same config, fresh journal dir, killed one job short of
     // the finish line by the in-process fault action (the `panic` twin of
-    // CI's `abort`) — deep enough into the DAG that cells, not just
-    // providers, have committed.
-    let after_jobs = cold_report.journal.appended - 2;
+    // CI's `abort`) — after every cell and Table 3a's assembly committed,
+    // before Figure A1's. It and the legs after it share one checkpoint
+    // store, each through its own handle, as processes would.
+    let after_jobs = cold_report.journal.appended - 1;
     let crash_spec = JournalSpec {
         dir: root.join("crash"),
         fault: Some(FaultPlan { after_jobs, action: FaultAction::Panic }),
     };
+    let stored_lab =
+        || Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(root.join("ckpt"))));
+    let derived = |events: &[CkptEvent]| -> Vec<CkptEvent> {
+        events.iter().filter(|e| e.provider == "derived").cloned().collect()
+    };
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let lab = Lab::new(LabConfig::tiny());
+        let lab = stored_lab();
         run_scheduled_with(&lab, &IDS, 1, Some(&crash_spec));
     }));
     assert!(crashed.is_err(), "the injected fault must actually fire");
@@ -217,14 +230,20 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     );
     assert!(journaled.warning.is_none(), "a clean crash leaves no torn line");
 
-    // Resume: a fresh process image (new lab, cold caches) over the same
-    // journal finishes the DAG and replays what already committed.
+    // Resume: a fresh process image (new lab, cold in-memory caches) over
+    // the same journal finishes the DAG and replays what already
+    // committed; results saved by the assemblies before the fault are
+    // read back from their derived checkpoint entries.
     let resume_spec = JournalSpec { dir: crash_spec.dir.clone(), fault: None };
-    let lab = Lab::new(LabConfig::tiny());
+    let lab = stored_lab();
     let (resumed, report) = run_scheduled_with(&lab, &IDS, 1, Some(&resume_spec));
     assert!(report.journal.resume, "resume must be detected");
     assert!(report.journal.replayed > 0, "journaled jobs must be satisfied, not re-run");
     assert_eq!(report.journal.warnings, 0);
+    assert!(
+        derived(&report.checkpoints).iter().any(|e| e.hit),
+        "the resumed leg must hit derived entries written before the fault"
+    );
 
     assert_eq!(
         artifact_bytes(&cold),
@@ -240,9 +259,14 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     // — including the artifacts themselves, straight from disk — and
     // neither re-appends what the journal already holds nor calls itself
     // a resume.
-    let lab = Lab::new(LabConfig::tiny());
+    let lab = stored_lab();
     let (warm, warm_report) = run_scheduled_with(&lab, &IDS, 1, Some(&resume_spec));
     assert_eq!(artifact_bytes(&cold), artifact_bytes(&warm));
+    assert_eq!(
+        derived(&warm_report.checkpoints).len(),
+        0,
+        "a fully replayed run looks up no derived result"
+    );
     assert!(
         warm_report.journal.replayed >= IDS.len() as u64,
         "complete journal should replay at least every artifact"

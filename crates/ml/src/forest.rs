@@ -205,6 +205,11 @@ impl RandomForest {
         imp
     }
 
+    /// Width of the feature rows the forest predicts on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -233,16 +238,22 @@ impl RandomForest {
     pub fn decode(r: &mut kcb_util::bin::Reader<'_>) -> kcb_util::Result<Self> {
         r.magic(b"KCBF")?;
         r.version(1)?;
+        let err = |m: &str| kcb_util::Error::parse("random-forest", m.to_string());
         let n_features = r.u32()? as usize;
         let oob_accuracy = match r.u8()? {
             0 => None,
-            _ => Some(r.f64()?),
+            1 => Some(r.f64()?),
+            _ => return Err(err("OOB tag is neither 0 nor 1")),
         };
         let n_trees = r.u32()? as usize;
         r.sized(n_trees, 12)?;
         let trees = (0..n_trees).map(|_| DecisionTree::decode(r)).collect::<kcb_util::Result<Vec<_>>>()?;
         if trees.is_empty() {
-            return Err(kcb_util::Error::parse("random-forest", "zero trees"));
+            return Err(err("zero trees"));
+        }
+        // A wider tree would index past the rows this forest is fed.
+        if trees.iter().any(|t| t.n_features() != n_features) {
+            return Err(err("tree width differs from the forest's"));
         }
         Ok(Self { trees, n_features, oob_accuracy })
     }

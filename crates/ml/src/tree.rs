@@ -76,6 +76,11 @@ impl DecisionTree {
         self.predict_proba(row) >= 0.5
     }
 
+    /// Width of the feature rows the tree predicts on.
+    pub(crate) fn n_features(&self) -> usize {
+        self.n_features
+    }
+
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -241,7 +246,9 @@ impl DecisionTree {
     }
 
     /// Decodes a tree from a checkpoint reader, validating the node arena
-    /// (child indices in range) so corrupt data errors instead of looping.
+    /// so corrupt data errors instead of panicking or looping: features in
+    /// range, and every child after its parent, as [`DecisionTree::fit`]
+    /// lays them out (so no walk from the root can cycle).
     pub(crate) fn decode(r: &mut kcb_util::bin::Reader<'_>) -> kcb_util::Result<Self> {
         let n_features = r.u32()? as usize;
         let importance = r.f64s()?;
@@ -268,12 +275,10 @@ impl DecisionTree {
         if nodes.is_empty() || importance.len() != n_features {
             return Err(kcb_util::Error::parse("decision-tree", "inconsistent tree header"));
         }
-        for n in &nodes {
+        for (i, n) in nodes.iter().enumerate() {
             if let Node::Split { feature, left, right, .. } = *n {
-                if left as usize >= nodes.len()
-                    || right as usize >= nodes.len()
-                    || feature as usize >= n_features
-                {
+                let child_ok = |c: u32| (i + 1..nodes.len()).contains(&(c as usize));
+                if !child_ok(left) || !child_ok(right) || feature as usize >= n_features {
                     return Err(kcb_util::Error::parse(
                         "decision-tree",
                         "node index out of range",

@@ -18,9 +18,12 @@
 //!
 //! Replies are `{"id":N,"ok":true,...}` on success and
 //! `{"id":N,"ok":false,"error":CODE,"message":TEXT}` on failure, where
-//! `CODE` is one of `bad_request`, `not_found`, `unavailable` or —
-//! crucially for admission control — `overloaded`, the typed shed reply a
-//! client receives instead of a hang when the bounded queue is full.
+//! `CODE` is one of `bad_request`, `not_found`, `unavailable`,
+//! `too_large` — a request line of more than 64 KiB
+//! ([`crate::server::MAX_LINE`]), answered with `id` 0 before the server
+//! closes that connection — or, crucially for
+//! admission control, `overloaded`, the typed shed reply a client
+//! receives instead of a hang when the bounded queue is full.
 //!
 //! Rendering is centralised here so the batched engine path and the
 //! serial reference path emit bytes through the *same* functions: checksum

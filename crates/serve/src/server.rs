@@ -17,12 +17,30 @@
 use crate::engine::{self, Engine, EngineConfig, EngineStats};
 use crate::protocol::{self, Op};
 use kcb_core::snapshot::Snapshot;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest line a connection may send, newline included. 64 KiB is far
+/// above any request in [`protocol`]; a peer that sends more without a
+/// newline gets a `too_large` error and is disconnected, so it cannot
+/// grow the daemon's memory without limit.
+pub const MAX_LINE: usize = 64 * 1024;
+
+/// `read_line` that never grows `line` past [`MAX_LINE`] bytes; see
+/// [`overflowed`].
+fn read_capped<R: Read>(reader: &mut BufReader<R>, line: &mut String) -> std::io::Result<usize> {
+    let room = MAX_LINE.saturating_sub(line.len()) as u64;
+    reader.by_ref().take(room).read_line(line)
+}
+
+/// True when `line` reached [`MAX_LINE`] bytes without a newline.
+fn overflowed(line: &str) -> bool {
+    line.len() >= MAX_LINE && !line.ends_with('\n')
+}
 
 /// How a [`Server`] listens.
 #[derive(Debug, Clone, Default)]
@@ -225,7 +243,8 @@ enum Slot {
 ///
 /// The read side carries a timeout so the stop flag is honoured on idle
 /// connections; a timeout mid-line is safe because `read_line` appends —
-/// partial bytes stay buffered until the newline arrives.
+/// partial bytes stay buffered until the newline arrives. A line longer
+/// than [`MAX_LINE`] gets a `too_large` reply and closes the connection.
 fn pump_lines<R: std::io::Read, W: Write>(
     mut reader: BufReader<R>,
     mut writer: W,
@@ -236,9 +255,16 @@ fn pump_lines<R: std::io::Read, W: Write>(
     let mut out = String::new();
     let mut first = true;
     loop {
-        match reader.read_line(&mut line) {
+        match read_capped(&mut reader, &mut line) {
             Ok(0) => break,
             Ok(_) => {
+                if overflowed(&line) {
+                    let msg = format!("request line exceeds {MAX_LINE} bytes");
+                    let reply = protocol::render_error(0, "too_large", &msg);
+                    let _ = writer.write_all(format!("{reply}\n").as_bytes());
+                    let _ = writer.flush();
+                    break;
+                }
                 if !line.ends_with('\n') {
                     // Timeout split the line; keep accumulating.
                     continue;
@@ -379,12 +405,14 @@ fn handle_http<R: std::io::Read, W: Write>(
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     // Drain the header block so the peer's send buffer is empty before we
     // write (some clients treat an early response + close as an error).
+    // A header line over [`MAX_LINE`] closes the connection unanswered.
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match read_capped(reader, &mut line) {
             Ok(0) => break,
             Ok(_) if line == "\r\n" || line == "\n" => break,
+            Ok(_) if overflowed(&line) => return,
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if stop.load(Ordering::SeqCst) {

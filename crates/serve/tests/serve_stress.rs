@@ -9,6 +9,9 @@
 //!    bounded (queue never exceeds its cap).
 //! 3. **End-to-end socket smoke**: a real TCP server answers the protocol
 //!    ops and honours `shutdown` with a graceful drain.
+//! 4. **Bounded request lines**: a peer that never sends a newline gets a
+//!    typed `too_large` reply and a closed connection, and other
+//!    connections are still served.
 
 use kcb_core::lab::{Lab, LabConfig};
 use kcb_core::snapshot::{Snapshot, SnapshotSpec};
@@ -16,6 +19,7 @@ use kcb_serve::bench::{client_workload, fnv64, FNV_OFFSET};
 use kcb_serve::engine::{answer_serial, Engine, EngineConfig};
 use kcb_serve::protocol::{self, Op, Request};
 use kcb_serve::server::{Server, ServerConfig};
+use kcb_serve::server::MAX_LINE;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::{mpsc, Arc};
 
@@ -179,4 +183,52 @@ fn workload_generation_is_deterministic_and_fnv_is_stable() {
     for req in &a {
         assert_eq!(protocol::parse_request(&protocol::render_request(req)).unwrap(), *req);
     }
+}
+
+#[test]
+fn an_overlong_request_line_is_refused_and_only_that_connection_closed() {
+    let lab = Lab::new(LabConfig::tiny());
+    let snap = Snapshot::freeze(&lab, SnapshotSpec { bert: false, ..SnapshotSpec::default() });
+    let server = Server::start(
+        Arc::new(snap),
+        &ServerConfig { tcp: Some("127.0.0.1:0".to_string()), ..ServerConfig::default() },
+    )
+    .expect("bind");
+    let addr = server.tcp_addr.expect("tcp bound");
+    let timeout = Some(std::time::Duration::from_secs(10));
+
+    // 1 MiB without a newline, written from its own thread: once the
+    // server stops reading, the writer may block until it disconnects.
+    let flood = std::net::TcpStream::connect(addr).expect("connect");
+    flood.set_read_timeout(timeout).unwrap();
+    let mut writer = flood.try_clone().expect("clone");
+    let sender = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..16 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut reader = BufReader::new(flood);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply before the close");
+    assert!(reply.contains(r#""error":"too_large""#), "{reply}");
+    assert!(reply.contains(&MAX_LINE.to_string()), "{reply}");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection must be closed, got {rest:?}"
+    );
+    sender.join().unwrap();
+
+    // Another connection is still answered.
+    let mut other = std::net::TcpStream::connect(addr).expect("connect");
+    other.set_read_timeout(timeout).unwrap();
+    other.write_all(b"{\"id\":7,\"op\":\"ping\"}\n").unwrap();
+    let mut pong = String::new();
+    BufReader::new(other.try_clone().unwrap()).read_line(&mut pong).expect("pong");
+    assert!(pong.contains(r#""id":7"#) && pong.contains(r#""ok":true"#), "{pong}");
+    other.write_all(b"{\"id\":8,\"op\":\"shutdown\"}\n").unwrap();
+    server.wait();
 }
