@@ -23,7 +23,7 @@ fn bench_int8_dot(c: &mut Criterion) {
         bch.iter(|| simd::dot_i8(black_box(&a8), black_box(&b8)))
     });
     g.bench_function("dot_f32/768", |bch| {
-        bch.iter(|| simd::dot(black_box(&af), black_box(&bf)))
+        bch.iter(|| simd::dot_wide(black_box(&af), black_box(&bf)))
     });
     g.finish();
 }

@@ -1,9 +1,8 @@
-//! Warm-start cost: zero-copy mmap vs full decode of a raw container.
+//! Warm-start cost: reading a raw container through the store.
 //!
-//! Writes one raw (`KCBC` v2) container holding an embedding-table-sized
-//! payload, then measures a warm read through the store with mmap
-//! borrowing enabled vs disabled (byte-reader decode). The two legs
-//! return bit-identical tables; only the loading mechanism differs.
+//! Writes one checkpoint container holding an embedding-table-sized raw
+//! section, then measures a warm read through the store's one read path,
+//! which maps the file and borrows the vectors in place.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kcb_core::ckpt::CkptStore;
@@ -31,23 +30,18 @@ fn bench_warm_start(c: &mut Criterion) {
     {
         let store = CkptStore::open(&dir);
         let (meta, vectors) = estore::raw_parts(&t);
-        store.put_raw("bench", "warm", &meta, &[vectors]);
+        store.put("bench", "warm", &meta, &[vectors]);
     }
     let mut g = c.benchmark_group("warm_start");
     g.sample_size(20);
-    for (leg, mmap) in [("mmap", true), ("decode", false)] {
-        g.bench_function(format!("raw_container/{leg}"), |b| {
-            b.iter(|| {
-                let mut store = CkptStore::open(&dir);
-                store.set_mmap(mmap);
-                let got = store
-                    .take_raw("bench", "warm", estore::from_raw, estore::from_bytes)
-                    .expect("warm read");
-                // Touch one row so lazily-verified stripes do real work.
-                black_box(got.vector(0)[0])
-            })
-        });
-    }
+    g.bench_function("raw_container/mmap", |b| {
+        b.iter(|| {
+            let store = CkptStore::open(&dir);
+            let got = store.take("bench", "warm", estore::from_raw).expect("warm read");
+            // Touch one row so lazily-verified stripes do real work.
+            black_box(got.vector(0)[0])
+        })
+    });
     g.finish();
     std::fs::remove_dir_all(&dir).ok();
 }

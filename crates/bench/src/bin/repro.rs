@@ -50,7 +50,7 @@ ARTIFACTS:
 SUBCOMMANDS:
   bench-query    run the raw-speed query-path microbenchmark and write
                  results/bench_query.json (qps/core, p50/p95/p99 per
-                 query kind); combines with --fast / --quant / --no-mmap
+                 query kind); combines with --fast / --quant
   serve          freeze a warm snapshot and answer NDJSON queries over
                  TCP (--port, default 7878) and/or a Unix socket
                  (--socket PATH); any artifact ids given are assembled
@@ -118,9 +118,6 @@ OPTIONS:
                  derived results (default results/ckpt); a warm cache only
                  changes wall time, never artifact bytes
   --cold         ignore existing checkpoints: retrain and overwrite them
-  --no-mmap      decode checkpoint containers through the byte reader
-                 instead of borrowing them zero-copy from an mmap; bytes
-                 are identical either way, only warm-start time changes
   --cache-cap BYTES  after the run, evict oldest checkpoints until the
                  store fits under BYTES
   --quant        bench-query only: add the int8-quantized query legs
@@ -646,11 +643,7 @@ fn main() -> ExitCode {
     // content-addressed store; a stale or corrupt entry falls back to
     // retraining, so the cache is purely a wall-clock knob.
     let cache_dir = args.cache_dir.clone().unwrap_or_else(|| Path::new("results").join("ckpt"));
-    let mut store =
-        if args.cold { CkptStore::cold(cache_dir) } else { CkptStore::open(cache_dir) };
-    // Zero-copy warm start is the default; --no-mmap drops to the decode
-    // path (same bytes, more copies).
-    store.set_mmap(!args.no_mmap);
+    let store = if args.cold { CkptStore::cold(cache_dir) } else { CkptStore::open(cache_dir) };
     let ctx = RunCtx {
         args: &args,
         seed,

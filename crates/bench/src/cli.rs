@@ -65,9 +65,6 @@ pub struct Args {
     pub batch_max: Option<usize>,
     /// `--quant`: add the int8-quantized legs to `bench-query`.
     pub quant: bool,
-    /// `--no-mmap`: disable zero-copy mmap checkpoint loading (decode
-    /// containers through the byte reader instead).
-    pub no_mmap: bool,
     /// `--cache-cap BYTES`: evict oldest checkpoints until the store fits.
     pub cache_cap: Option<u64>,
     /// `sweep`: compile a variant grid into one structure-shared DAG.
@@ -124,7 +121,6 @@ where
             "--fast" => out.fast = true,
             "--cold" => out.cold = true,
             "--quant" => out.quant = true,
-            "--no-mmap" => out.no_mmap = true,
             "--no-journal" => out.no_journal = true,
             "bench-query" => out.bench_query = true,
             "sweep" => out.sweep = true,
@@ -467,13 +463,12 @@ mod tests {
 
     #[test]
     fn parses_query_path_flags() {
-        let a = p(&["bench-query", "--quant", "--no-mmap", "--fast", "--cache-cap", "1024"])
-            .unwrap();
-        assert!(a.bench_query && a.quant && a.no_mmap && a.fast);
+        let a = p(&["bench-query", "--quant", "--fast", "--cache-cap", "1024"]).unwrap();
+        assert!(a.bench_query && a.quant && a.fast);
         assert_eq!(a.cache_cap, Some(1024));
         assert!(a.ids.is_empty());
         let a = p(&["table4"]).unwrap();
-        assert!(!a.bench_query && !a.quant && !a.no_mmap && a.cache_cap.is_none());
+        assert!(!a.bench_query && !a.quant && a.cache_cap.is_none());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The warm-cache contract, driven through the built `repro` binary.
 //!
 //! A cold `repro table4 tableA6 --fast --metrics` fills a checkpoint
-//! store; a warm rerun in the same workspace, then a warm rerun with
-//! `--no-mmap`, must
+//! store; a warm rerun in the same workspace must
 //!
 //! * write `--out` JSON byte-identical to the cold run's;
 //! * serve every checkpoint lookup from the store (`cache.ckpt_misses`
@@ -11,6 +10,11 @@
 //! * neither read nor rewrite a derived-result entry: the journal replays
 //!   both artifacts, so no `derived` lookup happens and every
 //!   `derived-*.ckpt` keeps its bytes and its mtime.
+//!
+//! The cold leg also records `--trace` and `--profile`, and its trace and
+//! `run_meta.json` must have the telemetry shape `repro` documents: the
+//! trace is JSON with complete spans and thread names, `run_meta` carries
+//! schema 7 with every group, and every job row names a traced span.
 
 use kcb_util::json::parse_value;
 use serde_json::Value;
@@ -70,6 +74,60 @@ fn derived_entries(cache: &Path) -> BTreeMap<PathBuf, (Vec<u8>, SystemTime)> {
         .collect()
 }
 
+/// The telemetry shape of a cold, non-serving, non-sweep run: its Chrome
+/// trace and its `run_meta.json`.
+fn assert_telemetry(trace: &Value, meta: &Value) {
+    let events = trace["traceEvents"].as_array().expect("traceEvents list");
+    let spans: Vec<&str> = events
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .map(|e| e["name"].as_str().expect("span name"))
+        .collect();
+    assert!(!spans.is_empty(), "trace has no spans");
+    assert!(events.iter().any(|e| e["ph"].as_str() == Some("M")), "trace has no thread names");
+
+    assert_eq!(meta["schema_version"].as_u64(), Some(7), "run_meta schema");
+    for group in [
+        "manifest",
+        "scheduler",
+        "cache",
+        "encoding_cache",
+        "journal",
+        "serve",
+        "sweep",
+        "checkpoints",
+        "counters",
+        "series",
+        "span_stats",
+        "artifacts",
+        "cells",
+        "providers",
+    ] {
+        assert!(meta.get(group).is_some(), "run_meta is missing {group}");
+    }
+    // A run that neither serves nor sweeps carries explicit null groups.
+    assert!(meta["serve"].is_null() && meta["sweep"].is_null(), "serve/sweep must be null");
+    for key in ["enabled", "appended", "replayed", "resume", "warnings"] {
+        assert!(meta["journal"].get(key).is_some(), "journal is missing {key}");
+    }
+    for key in ["seed", "scale", "threads", "git_rev", "config_digest", "mode"] {
+        assert!(meta["manifest"].get(key).is_some(), "manifest is missing {key}");
+    }
+    assert_eq!(meta["manifest"]["mode"].as_str(), Some("artifacts"));
+    assert!(meta["cache"].get("provider_skips").is_some(), "cache is missing provider_skips");
+    for (name, row) in meta["span_stats"].as_object().expect("span_stats object") {
+        assert!(row.get("p99_s").is_some(), "span_stats row {name} has no p99_s");
+    }
+    for (group, prefix) in [("artifacts", "artifact:"), ("cells", "cell:"), ("providers", "provider:")] {
+        let rows = meta[group].as_array().expect("job rows");
+        assert!(!rows.is_empty(), "run_meta has no {group} rows");
+        for row in rows {
+            let label = format!("{prefix}{}", row["label"].as_str().expect("label"));
+            assert!(spans.contains(&label.as_str()), "{group} job {label} missing from the trace");
+        }
+    }
+}
+
 /// The warm-run invariants on one run's `run_meta.json`.
 fn assert_warm(meta: &Value, leg: &str) {
     let events = meta["checkpoints"].as_array().expect("checkpoints list");
@@ -90,7 +148,10 @@ fn warm_reruns_hit_every_checkpoint_and_repeat_the_bytes() {
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("temp root");
 
-    let cold = repro(&root, "out-cold", &[]);
+    let trace = root.join("trace.json");
+    let cold = repro(&root, "out-cold", &["--trace", trace.to_str().unwrap(), "--profile"]);
+    let trace = std::fs::read_to_string(&trace).expect("trace written");
+    assert_telemetry(&parse_value(&trace).expect("trace parses"), &cold);
     let cold_derived = cold["checkpoints"]
         .as_array()
         .expect("checkpoints list")
@@ -110,18 +171,14 @@ fn warm_reruns_hit_every_checkpoint_and_repeat_the_bytes() {
 
     let warm = repro(&root, "out-warm", &[]);
     assert_warm(&warm, "warm");
-    let warm_nommap = repro(&root, "out-warm-nommap", &["--no-mmap"]);
-    assert_warm(&warm_nommap, "warm --no-mmap");
 
     let reference = files(&root.join("out-cold"));
     assert!(!reference.is_empty(), "the cold run wrote no artifacts");
-    for out in ["out-warm", "out-warm-nommap"] {
-        assert_eq!(files(&root.join(out)), reference, "{out} differs from out-cold");
-    }
+    assert_eq!(files(&root.join("out-warm")), reference, "out-warm differs from out-cold");
     assert_eq!(
         derived_entries(&root.join("cache")),
         before,
-        "warm reruns must leave every derived entry byte- and mtime-identical"
+        "a warm rerun must leave every derived entry byte- and mtime-identical"
     );
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -15,19 +15,26 @@
 //!   the provider's `SCHEMA_*` constant when the trainer's byte output or
 //!   the on-disk format changes.
 //! * **On-disk layout** — one file per artifact under the cache directory,
-//!   named `<provider>-<key16>.ckpt`. Every file carries a container header
-//!   (magic `KCBC`, container version, provider name, key, payload FNV-64
-//!   checksum) followed by a provider-specific payload. Writes go through a
-//!   temp file unique to the writing process and call, then a rename, so a
-//!   crashed run never leaves a half-written checkpoint under the final
-//!   name and two processes sharing a store never share a temp file.
+//!   named `<provider>-<key16>.ckpt`, in the one container layout described
+//!   at [`CONTAINER_VERSION`]: a header naming the provider and key, a
+//!   checksummed metadata blob, and an aligned raw section of packed `f32`s
+//!   with one checksum per 4096-byte stripe. A byte-only artifact (the
+//!   WordPiece vocabulary, the fastText model, every derived result) is its
+//!   metadata plus an empty raw section. Writes go through a temp file
+//!   unique to the writing process and call, then a rename, so a crashed
+//!   run never leaves a half-written checkpoint under the final name and
+//!   two processes sharing a store never share a temp file.
+//! * **Reads** — [`CkptStore::take`] memory-maps the file, so embedding
+//!   tables and LM weights borrow the raw section in place, and reads the
+//!   file into memory only where mapping fails (non-Unix targets, a failed
+//!   `mmap`). Either way the decoded bits are the same.
 //! * **Derived results** — every memoised score or row, forest run and
 //!   LSTM run is its own `derived-<key16>.ckpt` entry, read on first use
 //!   and written once, by the lab's result table.
-//! * **Fallback** — a missing, truncated, corrupt or version-mismatched
-//!   checkpoint is treated as a miss: one warning line on stderr, then the
-//!   artifact retrains exactly as if the cache were empty. The store can
-//!   slow a run down; it can never change results or make one fail.
+//! * **Fallback** — a missing, truncated, corrupt or foreign checkpoint is
+//!   treated as a miss: one warning line on stderr, then the artifact
+//!   retrains exactly as if the cache were empty. The store can slow a run
+//!   down; it can never change results or make one fail.
 //!
 //! The contract `kcb-bench`'s `warm_cache` test drives through the built
 //! `repro`: cache state (cold, warm, corrupt) is a wall-clock knob, never
@@ -49,7 +56,7 @@ pub const SCHEMA_GLOVE: u32 = 1;
 /// Schema version of the GloVe-Chem (warm-started) embedding checkpoint.
 pub const SCHEMA_GLOVE_CHEM: u32 = 1;
 /// Schema version of the BioWordVec (fastText) checkpoint.
-pub const SCHEMA_BIOWORDVEC: u32 = 1;
+pub const SCHEMA_BIOWORDVEC: u32 = 2;
 /// Schema version of the WordPiece vocabulary checkpoint.
 pub const SCHEMA_WORDPIECE: u32 = 1;
 /// Schema version of the mini-BERT weight checkpoint.
@@ -57,7 +64,7 @@ pub const SCHEMA_BERT: u32 = 1;
 /// Schema version of the BioGPT-mini weight checkpoint.
 pub const SCHEMA_BIOGPT: u32 = 1;
 /// Schema version of the derived-result entries.
-pub const SCHEMA_DERIVED: u32 = 2;
+pub const SCHEMA_DERIVED: u32 = 3;
 
 /// Minimum file age before [`CkptStore::gc`] may evict: anything younger
 /// may still be mid-write (tmp+rename from a concurrent `repro` sharing
@@ -65,23 +72,24 @@ pub const SCHEMA_DERIVED: u32 = 2;
 pub const GC_GRACE: std::time::Duration = std::time::Duration::from_secs(60);
 
 const CONTAINER_MAGIC: &[u8; 4] = b"KCBC";
-const CONTAINER_VERSION: u32 = 1;
-/// Container version with an aligned raw-payload section that can be
-/// memory-mapped and borrowed in place. Layout (little-endian):
+/// The container layout (little-endian):
 ///
 /// ```text
 /// magic "KCBC" | version u32 = 2 | raw_off u64 | raw_len u64
 /// provider str | key str | meta fnv-64 | meta_len u64 | meta bytes
 /// stripe count u32 | stripe fnv-64 × count      (one per 4096-byte stripe)
-/// zero padding to raw_off (64-byte aligned)
-/// raw payload: packed little-endian f32 elements
+/// zero padding to raw_off (the next multiple of 64)
+/// raw payload: packed little-endian f32 elements (possibly none)
 /// ```
 ///
 /// `raw_off`/`raw_len` sit at fixed offsets 8/16 so a mapped reader can
-/// locate the payload before parsing anything variable-length. The metadata
-/// checksum is verified eagerly (it is small); the payload is verified
-/// lazily, stripe by stripe, on first access.
-const CONTAINER_VERSION_RAW: u32 = 2;
+/// locate the payload before parsing anything variable-length. A reader
+/// accepts exactly what [`CkptStore::put`] writes: the provider and key
+/// echo, the metadata checksum, a `raw_off` right after the header with
+/// all-zero padding, and a file that ends with the raw section. The
+/// metadata checksum is verified eagerly (it is small); the payload is
+/// verified lazily, stripe by stripe, on first access.
+const CONTAINER_VERSION: u32 = 2;
 /// Raw payloads start on a 64-byte boundary: enough for any f32 SIMD lane
 /// width, and page-aligned mappings keep the property at runtime.
 const RAW_ALIGN: usize = 64;
@@ -106,7 +114,7 @@ pub struct CkptEvent {
     pub key: String,
     /// True when the artifact was served from disk.
     pub hit: bool,
-    /// Payload size in bytes (0 for a miss without a file).
+    /// File size in bytes (0 for a miss without a file).
     pub bytes: u64,
 }
 
@@ -114,7 +122,6 @@ pub struct CkptEvent {
 pub struct CkptStore {
     dir: PathBuf,
     cold: bool,
-    mmap: bool,
     hits: AtomicUsize,
     misses: AtomicUsize,
     events: Mutex<Vec<CkptEvent>>,
@@ -126,7 +133,6 @@ impl CkptStore {
         Self {
             dir: dir.into(),
             cold: false,
-            mmap: true,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             events: Mutex::new(Vec::new()),
@@ -137,19 +143,6 @@ impl CkptStore {
     /// train) but results are still written, overwriting stale entries.
     pub fn cold(dir: impl Into<PathBuf>) -> Self {
         Self { cold: true, ..Self::open(dir) }
-    }
-
-    /// Enables or disables memory-mapped reads of raw-payload containers
-    /// (the `--no-mmap` flag). With mapping off, raw containers are read
-    /// into owned memory and decoded — byte-identical results, slower warm
-    /// start.
-    pub fn set_mmap(&mut self, on: bool) {
-        self.mmap = on;
-    }
-
-    /// True when raw-payload containers will be memory-mapped.
-    pub fn mmap_enabled(&self) -> bool {
-        self.mmap
     }
 
     /// The store's root directory.
@@ -204,15 +197,17 @@ impl CkptStore {
         });
     }
 
-    /// Tries to load and decode `provider`'s artifact under `key`. Returns
-    /// `None` (recording a miss) when the file is absent, the store is
-    /// cold, or the checkpoint is unusable for any reason — the latter with
-    /// a single warning line.
+    /// Tries to load `provider`'s artifact under `key`, handing `decode`
+    /// the metadata and the raw section. The file is memory-mapped, so the
+    /// raw section is borrowed in place; it is read into memory only where
+    /// mapping fails. Returns `None` (recording a miss) when the file is
+    /// absent, the store is cold, or the checkpoint is unusable for any
+    /// reason — the latter with a single warning line.
     pub fn take<T>(
         &self,
         provider: &str,
         key: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T>,
+        decode: impl FnOnce(&[u8], &RawSection) -> Result<T>,
     ) -> Option<T> {
         if self.cold {
             self.record(provider, key, false, 0);
@@ -220,17 +215,25 @@ impl CkptStore {
         }
         let path = self.file_path(provider, key);
         let _span = kcb_obs::span("ckpt", "ckpt.read").arg("provider", provider);
-        let raw = match std::fs::read(&path) {
-            Ok(raw) => raw,
-            Err(_) => {
-                self.record(provider, key, false, 0);
-                return None;
-            }
+        let map = Mmap::open(&path).ok().map(Arc::new);
+        let owned = match &map {
+            Some(_) => Vec::new(),
+            None => match std::fs::read(&path) {
+                Ok(bytes) => bytes,
+                Err(_) => {
+                    self.record(provider, key, false, 0);
+                    return None;
+                }
+            },
         };
-        match Self::verify(provider, key, &raw).and_then(decode) {
+        let bytes = map.as_deref().map_or(owned.as_slice(), Mmap::bytes);
+        let len = bytes.len() as u64;
+        match Self::parse(provider, key, bytes, map.as_ref())
+            .and_then(|(meta, section)| decode(meta, &section))
+        {
             Ok(v) => {
                 Self::touch(&path);
-                self.record(provider, key, true, raw.len() as u64);
+                self.record(provider, key, true, len);
                 Some(v)
             }
             Err(e) => {
@@ -238,97 +241,73 @@ impl CkptStore {
                     "warning: checkpoint {} unusable ({e}); retraining {provider}",
                     path.display()
                 );
-                self.record(provider, key, false, raw.len() as u64);
+                self.record(provider, key, false, len);
                 None
             }
         }
     }
 
-    /// Validates the container header and payload checksum, returning the
-    /// payload slice.
-    fn verify<'a>(provider: &str, key: &str, raw: &'a [u8]) -> Result<&'a [u8]> {
-        let mut r = Reader::new(raw, "checkpoint");
-        let _span = kcb_obs::span("ckpt", "ckpt.verify").arg("provider", provider);
+    /// Parses a container, returning `(meta, section)`. The metadata
+    /// checksum is verified here; stripe checksums verify lazily inside the
+    /// returned [`RawSection`], which borrows `map` when given and
+    /// otherwise owns a copy of the raw bytes.
+    fn parse<'a>(
+        provider: &str,
+        key: &str,
+        bytes: &'a [u8],
+        map: Option<&Arc<Mmap>>,
+    ) -> Result<(&'a [u8], RawSection)> {
+        let bad = |msg: String| kcb_util::Error::parse("checkpoint", msg);
+        let mut r = Reader::new(bytes, "checkpoint");
         r.magic(CONTAINER_MAGIC)?;
         r.version(CONTAINER_VERSION)?;
+        let raw_off = r.u64()? as usize;
+        let raw_len = r.u64()? as usize;
         let stored_provider = r.str()?;
         let stored_key = r.str()?;
         if stored_provider != provider || stored_key != key {
-            return Err(kcb_util::Error::parse(
-                "checkpoint",
-                format!("header names {stored_provider}/{stored_key}, expected {provider}/{key}"),
-            ));
+            return Err(bad(format!(
+                "header names {stored_provider}/{stored_key}, expected {provider}/{key}"
+            )));
         }
-        let checksum = r.u64()?;
-        let len = r.u64()? as usize;
-        if len != r.remaining() {
-            return Err(kcb_util::Error::parse(
-                "checkpoint",
-                format!("payload length {len} != remaining {}", r.remaining()),
-            ));
+        let meta_sum = r.u64()?;
+        let meta_len = r.u64()? as usize;
+        let meta = r.bytes(meta_len)?;
+        if fnv1a(meta) != meta_sum {
+            return Err(bad("metadata checksum mismatch".into()));
         }
-        let payload = &raw[raw.len() - len..];
-        if fnv1a(payload) != checksum {
-            return Err(kcb_util::Error::parse("checkpoint", "payload checksum mismatch"));
+        let n_stripes = r.u32()? as usize;
+        r.sized(n_stripes, 8)?;
+        let stripe_sums = (0..n_stripes).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
+        let header_end = bytes.len() - r.remaining();
+        if raw_off != header_end.div_ceil(RAW_ALIGN) * RAW_ALIGN {
+            return Err(bad(format!("raw offset {raw_off} does not follow the header")));
         }
-        Ok(payload)
-    }
-
-    /// Persists `payload` as `provider`'s artifact under `key` (temp file +
-    /// rename). Write failures warn and are otherwise ignored — caching is
-    /// never allowed to fail a run.
-    pub fn put(&self, provider: &str, key: &str, payload: &[u8]) {
-        let _span = kcb_obs::span("ckpt", "ckpt.write")
-            .arg("provider", provider)
-            .arg("bytes", payload.len());
-        let mut w = Writer::new();
-        w.raw(CONTAINER_MAGIC);
-        w.u32(CONTAINER_VERSION);
-        w.str(provider);
-        w.str(key);
-        w.u64(fnv1a(payload));
-        w.u64(payload.len() as u64);
-        w.raw(payload);
-        self.commit(provider, key, &w.into_bytes());
-    }
-
-    /// A temp path no other write shares: the pid tells processes sharing
-    /// the store apart, the counter tells apart writes within one process.
-    fn tmp_path(&self, provider: &str, key: &str) -> PathBuf {
-        static WRITES: AtomicUsize = AtomicUsize::new(0);
-        let n = WRITES.fetch_add(1, Ordering::Relaxed);
-        self.dir.join(format!(".{provider}-{key}.{}-{n}.tmp", std::process::id()))
-    }
-
-    /// Writes a finished container through its own temp file and renames
-    /// it into place.
-    fn commit(&self, provider: &str, key: &str, bytes: &[u8]) {
-        let path = self.file_path(provider, key);
-        let tmp = self.tmp_path(provider, key);
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.dir)?;
-            std::fs::write(&tmp, bytes)?;
-            std::fs::rename(&tmp, &path)
+        if raw_off.saturating_add(raw_len) != bytes.len() {
+            return Err(bad(format!("raw section {raw_off}+{raw_len} != file size {}", bytes.len())));
+        }
+        if bytes[header_end..raw_off].iter().any(|&b| b != 0) {
+            return Err(bad("non-zero padding before the raw section".into()));
+        }
+        let section = match map {
+            Some(m) => RawSection::from_map(Arc::clone(m), raw_off, raw_len, stripe_sums)?,
+            None => RawSection::from_owned(bytes[raw_off..].to_vec(), 0, raw_len, stripe_sums)?,
         };
-        if let Err(e) = write() {
-            eprintln!("warning: could not write checkpoint {} ({e})", path.display());
-            std::fs::remove_file(&tmp).ok();
-        } else {
-            kcb_obs::counter("ckpt.writes", 1);
-        }
+        Ok((meta, section))
     }
 
-    /// Persists `meta` plus the concatenated f32 `parts` as a
-    /// [`CONTAINER_VERSION_RAW`] container with an aligned raw payload that
-    /// warm starts can memory-map in place.
-    pub fn put_raw(&self, provider: &str, key: &str, meta: &[u8], parts: &[&[f32]]) {
+    /// Persists `meta` plus the concatenated f32 `parts` (none for a
+    /// byte-only artifact) as `provider`'s artifact under `key`, through a
+    /// temp file and a rename. Write failures warn and are otherwise
+    /// ignored — caching is never allowed to fail a run.
+    pub fn put(&self, provider: &str, key: &str, meta: &[u8], parts: &[&[f32]]) {
         let (raw, stripe_sums) = pack_f32s(parts);
         let _span = kcb_obs::span("ckpt", "ckpt.write")
             .arg("provider", provider)
             .arg("bytes", raw.len() + meta.len());
         let mut w = Writer::new();
         w.raw(CONTAINER_MAGIC);
-        w.u32(CONTAINER_VERSION_RAW);
+        w.u32(CONTAINER_VERSION);
         w.u64(0); // raw_off placeholder, patched below
         w.u64(raw.len() as u64);
         w.str(provider);
@@ -345,121 +324,28 @@ impl CkptStore {
         bytes[8..16].copy_from_slice(&(raw_off as u64).to_le_bytes());
         bytes.resize(raw_off, 0);
         bytes.extend_from_slice(&raw);
-        self.commit(provider, key, &bytes);
-    }
 
-    /// Parses a raw container's header, returning `(meta, section)`. The
-    /// metadata checksum is verified here; stripe checksums verify lazily
-    /// inside the returned [`RawSection`].
-    fn parse_raw(
-        provider: &str,
-        key: &str,
-        bytes: &[u8],
-        map: Option<Arc<Mmap>>,
-    ) -> Result<(Vec<u8>, RawSection)> {
-        let mut r = Reader::new(bytes, "checkpoint");
-        r.magic(CONTAINER_MAGIC)?;
-        r.version(CONTAINER_VERSION_RAW)?;
-        let raw_off = r.u64()? as usize;
-        let raw_len = r.u64()? as usize;
-        let stored_provider = r.str()?;
-        let stored_key = r.str()?;
-        if stored_provider != provider || stored_key != key {
-            return Err(kcb_util::Error::parse(
-                "checkpoint",
-                format!("header names {stored_provider}/{stored_key}, expected {provider}/{key}"),
-            ));
-        }
-        let meta_sum = r.u64()?;
-        let meta_len = r.u64()? as usize;
-        r.sized(meta_len, 1)?;
-        let mut meta = Vec::with_capacity(meta_len);
-        for _ in 0..meta_len {
-            meta.push(r.u8()?);
-        }
-        if fnv1a(&meta) != meta_sum {
-            return Err(kcb_util::Error::parse("checkpoint", "metadata checksum mismatch"));
-        }
-        let n_stripes = r.u32()? as usize;
-        r.sized(n_stripes, 8)?;
-        let stripe_sums = (0..n_stripes).map(|_| r.u64()).collect::<Result<Vec<_>>>()?;
-        if raw_off < bytes.len() - r.remaining() || !raw_off.is_multiple_of(RAW_ALIGN) {
-            return Err(kcb_util::Error::parse("checkpoint", "raw offset overlaps header"));
-        }
-        if raw_off.saturating_add(raw_len) != bytes.len() {
-            return Err(kcb_util::Error::parse(
-                "checkpoint",
-                format!("raw section {raw_off}+{raw_len} != file size {}", bytes.len()),
-            ));
-        }
-        let section = match map {
-            Some(m) => RawSection::from_map(m, raw_off, raw_len, stripe_sums)?,
-            None => RawSection::from_owned(bytes.to_vec(), raw_off, raw_len, stripe_sums)?,
-        };
-        Ok((meta, section))
-    }
-
-    /// Tries to load a raw-payload artifact under `key`. A version-2
-    /// container is memory-mapped when enabled (zero-copy, stripes verified
-    /// lazily) or read into owned memory otherwise; a legacy version-1
-    /// container falls back to `decode_v1` on the verified payload. Any
-    /// failure is a miss with one warning line.
-    pub fn take_raw<T>(
-        &self,
-        provider: &str,
-        key: &str,
-        decode_v2: impl FnOnce(&[u8], &RawSection) -> Result<T>,
-        decode_v1: impl FnOnce(&[u8]) -> Result<T>,
-    ) -> Option<T> {
-        if self.cold {
-            self.record(provider, key, false, 0);
-            return None;
-        }
         let path = self.file_path(provider, key);
-        let _span = kcb_obs::span("ckpt", "ckpt.read").arg("provider", provider);
-        let attempt = || -> Result<(T, u64)> {
-            if self.mmap {
-                if let Ok(map) = Mmap::open(&path) {
-                    let map = Arc::new(map);
-                    let len = map.len() as u64;
-                    let version = container_version(map.bytes());
-                    if version == Some(CONTAINER_VERSION_RAW) {
-                        let (meta, section) =
-                            Self::parse_raw(provider, key, map.bytes(), Some(Arc::clone(&map)))?;
-                        return decode_v2(&meta, &section).map(|v| (v, len));
-                    }
-                    // Legacy v1 container: fall through to the decode path.
-                }
-            }
-            let bytes = std::fs::read(&path).map_err(kcb_util::Error::Io)?;
-            let len = bytes.len() as u64;
-            if container_version(&bytes) == Some(CONTAINER_VERSION_RAW) {
-                let (meta, section) = Self::parse_raw(provider, key, &bytes, None)?;
-                decode_v2(&meta, &section).map(|v| (v, len))
-            } else {
-                let payload = Self::verify(provider, key, &bytes)?;
-                decode_v1(payload).map(|v| (v, len))
-            }
+        let tmp = self.tmp_path(provider, key);
+        let write = || -> std::io::Result<()> {
+            std::fs::create_dir_all(&self.dir)?;
+            std::fs::write(&tmp, &bytes)?;
+            std::fs::rename(&tmp, &path)
         };
-        if !path.exists() {
-            self.record(provider, key, false, 0);
-            return None;
+        if let Err(e) = write() {
+            eprintln!("warning: could not write checkpoint {} ({e})", path.display());
+            std::fs::remove_file(&tmp).ok();
+        } else {
+            kcb_obs::counter("ckpt.writes", 1);
         }
-        match attempt() {
-            Ok((v, len)) => {
-                Self::touch(&path);
-                self.record(provider, key, true, len);
-                Some(v)
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint {} unusable ({e}); retraining {provider}",
-                    path.display()
-                );
-                self.record(provider, key, false, 0);
-                None
-            }
-        }
+    }
+
+    /// A temp path no other write shares: the pid tells processes sharing
+    /// the store apart, the counter tells apart writes within one process.
+    fn tmp_path(&self, provider: &str, key: &str) -> PathBuf {
+        static WRITES: AtomicUsize = AtomicUsize::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        self.dir.join(format!(".{provider}-{key}.{}-{n}.tmp", std::process::id()))
     }
 
     /// Cheap freshness probe: true when a plausible checkpoint file exists
@@ -493,10 +379,10 @@ impl CkptStore {
     /// [`CkptStore::gc`] with an explicit grace window (tests use zero).
     ///
     /// "Recently used" is the file mtime, which every successful
-    /// [`CkptStore::take`] / [`CkptStore::take_raw`] refreshes — so entries
-    /// a long-lived process keeps reading (including zero-copy mmap reads,
-    /// which the filesystem would otherwise never reflect in mtime) stay
-    /// resident, and only genuinely idle checkpoints are evicted.
+    /// [`CkptStore::take`] refreshes — so entries a long-lived process
+    /// keeps reading (including zero-copy mmap reads, which the filesystem
+    /// would otherwise never reflect in mtime) stay resident, and only
+    /// genuinely idle checkpoints are evicted.
     pub fn gc_with_grace(&self, cap_bytes: u64, grace: std::time::Duration) -> GcReport {
         let now = std::time::SystemTime::now();
         let mut entries: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
@@ -534,33 +420,6 @@ impl CkptStore {
         }
         GcReport { scanned, evicted, freed_bytes: freed, kept_bytes: total, cap_bytes }
     }
-
-    /// Load-or-train in one call: [`CkptStore::take`], falling back to
-    /// `make` + [`CkptStore::put`].
-    pub fn load_or_make<T>(
-        &self,
-        provider: &str,
-        key: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T>,
-        encode: impl FnOnce(&T) -> Vec<u8>,
-        make: impl FnOnce() -> T,
-    ) -> T {
-        if let Some(v) = self.take(provider, key, decode) {
-            return v;
-        }
-        let v = make();
-        self.put(provider, key, &encode(&v));
-        v
-    }
-}
-
-/// Peeks at a container's version field without consuming the reader
-/// (`None` when the file is too short or the magic is wrong).
-fn container_version(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < 8 || &bytes[..4] != CONTAINER_MAGIC {
-        return None;
-    }
-    Some(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")))
 }
 
 /// Result of a [`CkptStore::gc`] sweep.
@@ -592,48 +451,27 @@ impl std::fmt::Display for GcReport {
     }
 }
 
-/// Load-or-train against an optional store: with no store attached the
-/// artifact is simply built (the `Lab::new` path used by unit tests).
+/// Load-or-train against an optional store: [`CkptStore::take`], falling
+/// back to `make` + [`CkptStore::put`] of what `encode` splits the artifact
+/// into (metadata plus the f32 parts of its raw section). With no store
+/// attached the artifact is simply built (the `Lab::new` path used by unit
+/// tests).
 pub(crate) fn cached<T>(
     store: Option<&CkptStore>,
     provider: &str,
     key: &str,
-    decode: impl FnOnce(&[u8]) -> Result<T>,
-    encode: impl FnOnce(&T) -> Vec<u8>,
-    make: impl FnOnce() -> T,
-) -> T {
-    match store {
-        Some(s) => s.load_or_make(provider, key, decode, encode, make),
-        None => make(),
-    }
-}
-
-/// Raw-container variant of [`cached`]: decodes a v2 container via
-/// `decode_v2` (zero-copy when mapped), a legacy v1 container via
-/// `decode_v1`, and on a miss builds the artifact and writes it back in v2
-/// form. `encode` returns the metadata blob plus the flat f32 parts that
-/// become the aligned raw payload.
-pub(crate) fn cached_raw<T>(
-    store: Option<&CkptStore>,
-    provider: &str,
-    key: &str,
-    decode_v2: impl FnOnce(&[u8], &RawSection) -> Result<T>,
-    decode_v1: impl FnOnce(&[u8]) -> Result<T>,
+    decode: impl FnOnce(&[u8], &RawSection) -> Result<T>,
     encode: impl for<'t> FnOnce(&'t T) -> (Vec<u8>, Vec<&'t [f32]>),
     make: impl FnOnce() -> T,
 ) -> T {
-    match store {
-        Some(s) => {
-            if let Some(v) = s.take_raw(provider, key, decode_v2, decode_v1) {
-                return v;
-            }
-            let v = make();
-            let (meta, parts) = encode(&v);
-            s.put_raw(provider, key, &meta, &parts);
-            v
-        }
-        None => make(),
+    let Some(store) = store else { return make() };
+    if let Some(v) = store.take(provider, key, decode) {
+        return v;
     }
+    let v = make();
+    let (meta, parts) = encode(&v);
+    store.put(provider, key, &meta, &parts);
+    v
 }
 
 /// Config-derived fingerprint of the domain corpus (and, transitively, the
@@ -813,28 +651,38 @@ mod tests {
         CkptStore::open(dir)
     }
 
-    fn decode_u64(b: &[u8]) -> Result<u64> {
-        let mut r = Reader::new(b, "test");
+    fn u64_bytes(v: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(v);
+        w.into_bytes()
+    }
+
+    /// Writes `v` as a byte-only entry.
+    fn put_u64(store: &CkptStore, provider: &str, key: &str, v: u64) {
+        store.put(provider, key, &u64_bytes(v), &[]);
+    }
+
+    fn encode_u64(v: &u64) -> (Vec<u8>, Vec<&[f32]>) {
+        (u64_bytes(*v), vec![])
+    }
+
+    fn decode_u64(meta: &[u8], _: &RawSection) -> Result<u64> {
+        let mut r = Reader::new(meta, "test");
         let v = r.u64()?;
         r.finish()?;
         Ok(v)
     }
 
     #[test]
-    fn load_or_make_round_trips_and_counts() {
+    fn cached_round_trips_and_counts() {
         let store = temp_store("roundtrip");
         let mut made = 0;
-        let encode = |v: &u64| {
-            let mut w = Writer::new();
-            w.u64(*v);
-            w.into_bytes()
-        };
-        let v = store.load_or_make("unit", "k1", decode_u64, encode, || {
+        let v = cached(Some(&store), "unit", "k1", decode_u64, encode_u64, || {
             made += 1;
             99
         });
         assert_eq!((v, made), (99, 1));
-        let v = store.load_or_make("unit", "k1", decode_u64, encode, || {
+        let v = cached(Some(&store), "unit", "k1", decode_u64, encode_u64, || {
             made += 1;
             0
         });
@@ -849,23 +697,9 @@ mod tests {
     #[test]
     fn cold_store_ignores_existing_but_still_writes() {
         let store = temp_store("cold");
-        store.put("unit", "k", &{
-            let mut w = Writer::new();
-            w.u64(7);
-            w.into_bytes()
-        });
+        put_u64(&store, "unit", "k", 7);
         let cold = CkptStore::cold(store.dir().to_path_buf());
-        let v = cold.load_or_make(
-            "unit",
-            "k",
-            decode_u64,
-            |v| {
-                let mut w = Writer::new();
-                w.u64(*v);
-                w.into_bytes()
-            },
-            || 8,
-        );
+        let v = cached(Some(&cold), "unit", "k", decode_u64, encode_u64, || 8);
         assert_eq!(v, 8, "cold mode must retrain");
         // The rewritten entry is visible to a subsequent warm store.
         let warm = CkptStore::open(store.dir().to_path_buf());
@@ -876,18 +710,14 @@ mod tests {
     #[test]
     fn truncated_checkpoint_falls_back_to_retraining() {
         let store = temp_store("trunc");
-        let mut w = Writer::new();
-        w.u64(1234);
-        store.put("unit", "k", &w.into_bytes());
-        // Truncate the real file mid-payload.
+        put_u64(&store, "unit", "k", 1234);
+        // Truncate the real file.
         let path = store.dir().join("unit-k.ckpt");
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
         assert_eq!(store.take("unit", "k", decode_u64), None);
         // A fresh write repairs the entry.
-        let mut w = Writer::new();
-        w.u64(5678);
-        store.put("unit", "k", &w.into_bytes());
+        put_u64(&store, "unit", "k", 5678);
         assert_eq!(store.take("unit", "k", decode_u64), Some(5678));
         std::fs::remove_dir_all(store.dir()).ok();
     }
@@ -895,9 +725,7 @@ mod tests {
     #[test]
     fn version_flip_and_bit_flip_fall_back() {
         let store = temp_store("flip");
-        let mut w = Writer::new();
-        w.u64(42);
-        store.put("unit", "k", &w.into_bytes());
+        put_u64(&store, "unit", "k", 42);
         let path = store.dir().join("unit-k.ckpt");
         let good = std::fs::read(&path).unwrap();
 
@@ -907,10 +735,21 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert_eq!(store.take("unit", "k", decode_u64), None);
 
-        // Payload bit flipped — caught by the checksum.
+        // Last byte flipped: of a byte-only entry that is padding before
+        // the empty raw section, which must be all zero.
         let mut bad = good.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(store.take("unit", "k", decode_u64), None);
+        let event = store.events().pop().unwrap();
+        assert!(!event.hit);
+        assert_eq!(event.bytes, good.len() as u64, "an unusable entry records the file's size");
+
+        // Payload bit flipped — caught by the metadata checksum.
+        let mut bad = good.clone();
+        let payload = good.windows(8).position(|w| w == 42u64.to_le_bytes()).unwrap();
+        bad[payload] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         assert_eq!(store.take("unit", "k", decode_u64), None);
 
@@ -923,9 +762,7 @@ mod tests {
     #[test]
     fn wrong_provider_name_is_rejected() {
         let store = temp_store("name");
-        let mut w = Writer::new();
-        w.u64(1);
-        store.put("unit-a", "k", &w.into_bytes());
+        put_u64(&store, "unit-a", "k", 1);
         // Copy the file under another provider's name: header mismatch.
         std::fs::copy(store.dir().join("unit-a-k.ckpt"), store.dir().join("unit-b-k.ckpt"))
             .unwrap();
@@ -933,7 +770,7 @@ mod tests {
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
-    fn raw_decode_v2(meta: &[u8], raw: &RawSection) -> Result<(Vec<u8>, Vec<f32>)> {
+    fn raw_decode(meta: &[u8], raw: &RawSection) -> Result<(Vec<u8>, Vec<f32>)> {
         let n = raw.len() / 4;
         Ok((meta.to_vec(), raw.f32s(0, n)?.as_slice().to_vec()))
     }
@@ -943,38 +780,25 @@ mod tests {
         let store = temp_store("raw");
         let meta = b"shape:3x500".to_vec();
         let data: Vec<f32> = (0..1500).map(|i| (i as f32 * 0.11).cos()).collect();
-        store.put_raw("unit", "k", &meta, &[&data[..700], &data[700..]]);
+        store.put("unit", "k", &meta, &[&data[..700], &data[700..]]);
 
-        let got = store.take_raw("unit", "k", raw_decode_v2, |_| unreachable!("v1"));
-        let (m, d) = got.expect("mapped hit");
+        let mapped = store.take("unit", "k", |m, raw| {
+            assert_eq!(raw.is_mapped(), cfg!(unix), "take maps the file where it can");
+            raw_decode(m, raw)
+        });
+        let (m, d) = mapped.expect("mapped hit");
         assert_eq!(m, meta);
         assert_eq!(d.len(), data.len());
         assert!(d.iter().zip(&data).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(store.stats(), (1, 0));
 
-        let mut no_mmap = CkptStore::open(store.dir().to_path_buf());
-        no_mmap.set_mmap(false);
-        let (m2, d2) = no_mmap
-            .take_raw("unit", "k", raw_decode_v2, |_| unreachable!("v1"))
-            .expect("owned hit");
+        // The owned fallback: the same container read into memory.
+        let bytes = std::fs::read(store.dir().join("unit-k.ckpt")).unwrap();
+        let (m2, section) = CkptStore::parse("unit", "k", &bytes, None).expect("owned parse");
+        assert!(!section.is_mapped());
+        let (m2, d2) = raw_decode(m2, &section).expect("owned decode");
         assert_eq!(m2, meta);
         assert!(d2.iter().zip(&d).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(store.stats(), (1, 0));
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn raw_reader_falls_back_to_legacy_v1_containers() {
-        let store = temp_store("raw-legacy");
-        let mut w = Writer::new();
-        w.u64(4242);
-        store.put("unit", "k", &w.into_bytes()); // v1 container
-        let got = store.take_raw(
-            "unit",
-            "k",
-            |_, _| -> Result<u64> { unreachable!("v2") },
-            decode_u64,
-        );
-        assert_eq!(got, Some(4242));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -982,7 +806,7 @@ mod tests {
     fn raw_container_corruption_falls_back() {
         let store = temp_store("raw-corrupt");
         let data: Vec<f32> = (0..2000).map(|i| i as f32).collect();
-        store.put_raw("unit", "k", b"m", &[&data]);
+        store.put("unit", "k", b"m", &[&data]);
         let path = store.dir().join("unit-k.ckpt");
         let good = std::fs::read(&path).unwrap();
 
@@ -991,38 +815,61 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
-        assert!(store.take_raw("unit", "k", raw_decode_v2, |_| unreachable!()).is_none());
+        assert!(store.take("unit", "k", raw_decode).is_none());
 
         // Flip a metadata byte: caught eagerly by the meta checksum.
         let mut bad = good.clone();
         bad[40] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
-        assert!(store.take_raw("unit", "k", raw_decode_v2, |_| unreachable!()).is_none());
+        assert!(store.take("unit", "k", raw_decode).is_none());
 
         // Truncations never panic.
         for cut in [0usize, 7, 20, good.len() / 2, good.len() - 1] {
             std::fs::write(&path, &good[..cut]).unwrap();
-            assert!(
-                store
-                    .take_raw("unit", "k", raw_decode_v2, |b| decode_u64(b)
-                        .map(|v| (vec![], vec![v as f32])))
-                    .is_none(),
-                "cut {cut}"
-            );
+            assert!(store.take("unit", "k", raw_decode).is_none(), "cut {cut}");
         }
 
         std::fs::write(&path, &good).unwrap();
-        assert!(store.take_raw("unit", "k", raw_decode_v2, |_| unreachable!()).is_some());
+        assert!(store.take("unit", "k", raw_decode).is_some());
         std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn only_the_exact_written_container_is_accepted() {
+        // A byte-only entry and one with a two-stripe raw section: every
+        // truncation, every trailing byte and every single-bit flip is
+        // rejected by a decoder that reads the whole raw section.
+        let data: Vec<f32> = (0..1100).map(|i| (i as f32).sqrt()).collect();
+        for parts in [vec![], vec![&data[..]]] {
+            let store = temp_store("exact");
+            store.put("unit", "k", b"meta", &parts);
+            let good = std::fs::read(store.dir().join("unit-k.ckpt")).unwrap();
+            let accepts = |bytes: &[u8]| {
+                CkptStore::parse("unit", "k", bytes, None).and_then(|(m, s)| raw_decode(m, &s)).is_ok()
+            };
+            assert!(accepts(&good));
+            for cut in 0..good.len() {
+                assert!(!accepts(&good[..cut]), "cut {cut}");
+            }
+            let mut long = good.clone();
+            long.push(0);
+            assert!(!accepts(&long), "trailing byte");
+            for i in 0..good.len() {
+                for bit in 0..8 {
+                    let mut flipped = good.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert!(!accepts(&flipped), "flip of bit {bit} in byte {i}");
+                }
+            }
+            std::fs::remove_dir_all(store.dir()).ok();
+        }
     }
 
     #[test]
     fn freshness_probe_is_quiet_and_cold_aware() {
         let store = temp_store("fresh");
         assert!(!store.is_fresh("unit", "k"));
-        let mut w = Writer::new();
-        w.u64(1);
-        store.put("unit", "k", &w.into_bytes());
+        put_u64(&store, "unit", "k", 1);
         assert!(store.is_fresh("unit", "k"));
         assert!(store.events().is_empty(), "probe must not record events");
         let cold = CkptStore::cold(store.dir().to_path_buf());
@@ -1034,9 +881,7 @@ mod tests {
     fn gc_evicts_oldest_first_until_under_cap() {
         let store = temp_store("gc");
         for (i, name) in ["a", "b", "c"].iter().enumerate() {
-            let mut w = Writer::new();
-            w.u64(i as u64);
-            store.put("unit", name, &w.into_bytes());
+            put_u64(&store, "unit", name, i as u64);
             // Distinct mtimes, oldest = "a".
             let t = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000_000 + i as u64 * 100);
@@ -1065,9 +910,7 @@ mod tests {
         // "old" predates the grace window; "young" was written just now —
         // exactly what a concurrent writer's fresh checkpoint looks like.
         for name in ["old", "young"] {
-            let mut w = Writer::new();
-            w.u64(7);
-            store.put("unit", name, &w.into_bytes());
+            put_u64(&store, "unit", name, 7);
         }
         let old = store.dir().join("unit-old.ckpt");
         let t = std::time::SystemTime::now() - 10 * GC_GRACE;
@@ -1089,9 +932,7 @@ mod tests {
     fn reads_refresh_eviction_order() {
         let store = temp_store("gc-touch");
         for (i, name) in ["hot", "idle"].iter().enumerate() {
-            let mut w = Writer::new();
-            w.u64(i as u64);
-            store.put("unit", name, &w.into_bytes());
+            put_u64(&store, "unit", name, i as u64);
             // Both entries start equally ancient; "hot" is older.
             let t = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000_000 + i as u64 * 100);
@@ -1243,11 +1084,9 @@ mod tests {
         let store = temp_store("tmpname");
         assert_ne!(store.tmp_path("unit", "k"), store.tmp_path("unit", "k"));
         for v in [1u64, 2] {
-            let mut w = Writer::new();
-            w.u64(v);
-            store.put("unit", "k", &w.into_bytes());
+            put_u64(&store, "unit", "k", v);
         }
-        store.put_raw("unit", "r", b"m", &[&[1.0f32, 2.0]]);
+        store.put("unit", "r", b"m", &[&[1.0f32, 2.0]]);
         assert_eq!(store.take("unit", "k", decode_u64), Some(2));
         let names: Vec<String> = std::fs::read_dir(store.dir())
             .unwrap()

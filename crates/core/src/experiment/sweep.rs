@@ -87,6 +87,15 @@ fn parse_oracle(s: &str) -> Result<&'static str, String> {
     })
 }
 
+/// Rejects a grid list that names one value twice (`sup,supervised`,
+/// `0.5,0.50`): it would expand into two variants with one id.
+fn distinct<T: PartialEq>(key: &str, vals: Vec<T>) -> Result<Vec<T>, String> {
+    if vals.iter().enumerate().any(|(i, v)| vals[..i].contains(v)) {
+        return Err(format!("duplicate {key} in grid"));
+    }
+    Ok(vals)
+}
+
 fn parse_model(s: &str) -> Result<&'static str, String> {
     if s == "pubmedbert" {
         return Ok("pubmedbert");
@@ -150,13 +159,15 @@ impl GridSpec {
             }
             match key.trim() {
                 "seed" | "seeds" => {
-                    g.seeds = vals
-                        .iter()
-                        .map(|v| v.parse().map_err(|_| format!("bad seed {v}")))
-                        .collect::<Result<_, _>>()?;
+                    g.seeds = distinct(
+                        "seeds",
+                        vals.iter()
+                            .map(|v| v.parse().map_err(|_| format!("bad seed {v}")))
+                            .collect::<Result<_, _>>()?,
+                    )?;
                 }
                 "scale" | "scales" => {
-                    g.scales = vals
+                    let scales = vals
                         .iter()
                         .map(|v| {
                             let s: f64 = v.parse().map_err(|_| format!("bad scale {v}"))?;
@@ -167,9 +178,10 @@ impl GridSpec {
                             Ok(s)
                         })
                         .collect::<Result<_, _>>()?;
+                    g.scales = distinct("scales", scales)?;
                 }
                 "scenario" | "scenarios" => {
-                    g.scenarios = vals
+                    let scenarios = vals
                         .iter()
                         .map(|v| {
                             let i: usize = v.parse().map_err(|_| format!("bad scenario {v}"))?;
@@ -182,17 +194,19 @@ impl GridSpec {
                             Ok(i)
                         })
                         .collect::<Result<_, _>>()?;
+                    g.scenarios = distinct("scenarios", scenarios)?;
                 }
                 "paradigm" | "paradigms" => {
-                    if vals == ["all"] {
-                        g.paradigms = Paradigm::ALL.to_vec();
+                    g.paradigms = if vals == ["all"] {
+                        Paradigm::ALL.to_vec()
                     } else {
-                        g.paradigms =
-                            vals.iter().map(|v| Paradigm::parse(v)).collect::<Result<_, _>>()?;
-                    }
+                        let paradigms = vals.iter().map(|v| Paradigm::parse(v));
+                        distinct("paradigms", paradigms.collect::<Result<_, _>>()?)?
+                    };
                 }
                 "oracle" | "oracles" => {
-                    g.oracles = vals.iter().map(|v| parse_oracle(v)).collect::<Result<_, _>>()?;
+                    let oracles = vals.iter().map(|v| parse_oracle(v));
+                    g.oracles = distinct("oracles", oracles.collect::<Result<_, _>>()?)?;
                 }
                 "model" => g.model = parse_model(vals[0])?,
                 "adapt" => {
@@ -218,10 +232,6 @@ impl GridSpec {
         }
         if !supervised::adaptations_for(g.model).contains(&g.adapt) {
             return Err(format!("model {} does not support adapt {}", g.model, g.adapt));
-        }
-        let mut seen = HashSet::new();
-        if !g.seeds.iter().all(|s| seen.insert(*s)) {
-            return Err("duplicate seeds in grid".to_string());
         }
         Ok(g)
     }
@@ -1049,11 +1059,59 @@ mod tests {
             "frobnicate=1",
             "seeds",
             "seeds=7,7",
+            "scales=0.5,0.50",
+            "scenarios=0,0;paradigms=sup",
+            "paradigms=sup,supervised",
+            "paradigms=icl;oracles=gpt4,gpt-4",
         ] {
             assert!(GridSpec::parse(bad).is_err(), "accepted {bad}");
         }
         // pubmedbert without explicit adapt defaults to none.
         assert_eq!(GridSpec::parse("model=pubmedbert").unwrap().adapt, "none");
+    }
+
+    /// Candidate values per grid key, valid and not, with aliases and
+    /// spellings that parse to one value.
+    const GRID_TERMS: &[(&str, &[&str])] = &[
+        ("seeds", &["0", "1", "7", "42", "18446744073709551615", "x", "-1"]),
+        ("seed", &["3", "3"]),
+        ("scales", &["0.006", "0.5", "0.50", "1", "1.0", "4", "4.5", "0", "nan"]),
+        ("scenarios", &["0", "1", "2", "3", "4", "5", "01"]),
+        ("paradigms", &["sup", "supervised", "ft", "finetune", "icl", "all", "zen"]),
+        ("oracles", &["gpt4", "gpt-4", "gpt35", "llama2", "biogpt", "palm"]),
+        ("model", &["random", "glove", "w2v-chem", "pubmedbert", "elmo"]),
+        ("adapt", &["none", "naive", "task-oriented", "frob"]),
+        ("frob", &["1"]),
+    ];
+
+    /// A grid spec from `(key, value picks)` terms.
+    fn grid_text(terms: &[(usize, Vec<usize>)]) -> String {
+        let terms = terms.iter().map(|(k, picks)| {
+            let (key, vals) = GRID_TERMS[k % GRID_TERMS.len()];
+            let vals: Vec<&str> = picks.iter().map(|p| vals[p % vals.len()]).collect();
+            format!("{key}={}", vals.join(","))
+        });
+        terms.collect::<Vec<_>>().join(";")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn grid_specs_parse_strictly_and_expand_to_distinct_ids(
+            terms in proptest::prop::collection::vec(
+                (0usize..64, proptest::prop::collection::vec(0usize..64, 1..4)),
+                0..6,
+            ),
+            noise in "[a-z0-9=;,. -]{0,40}",
+        ) {
+            let _ = GridSpec::parse(&noise);
+            let Ok(g) = GridSpec::parse(&grid_text(&terms)) else { return Ok(()) };
+            proptest::prop_assert_eq!(GridSpec::parse(&g.render()), Ok(g.clone()));
+            let ids: Vec<String> = g.expand(&tiny()).iter().map(Variant::id).collect();
+            let distinct: HashSet<&String> = ids.iter().collect();
+            proptest::prop_assert_eq!(distinct.len(), ids.len(), "repeated variant ids: {:?}", ids);
+        }
     }
 
     #[test]

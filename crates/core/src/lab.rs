@@ -40,6 +40,7 @@ use kcb_text::{
     corpus::tokenize_corpus, ChemTokenizer, CorpusConfig, DomainCorpusGenerator,
     GenericCorpusGenerator, WordPiece, WordPieceTrainer,
 };
+use kcb_util::mmap::RawSection;
 use kcb_util::Rng;
 use parking_lot::Mutex;
 use std::cell::OnceCell;
@@ -393,7 +394,7 @@ impl Shared {
         s.get_or_init(|| {
             let store = self.ckpt.as_deref();
             let entry = ckpt::derived_key(&self.config_fp, kind, &key);
-            let decode = |b: &[u8]| Derived::from_bytes(kind, b);
+            let decode = |meta: &[u8], _: &RawSection| Derived::from_bytes(kind, meta);
             if let Some(v) = store.and_then(|st| st.take("derived", &entry, decode)) {
                 count(true);
                 return v;
@@ -443,7 +444,7 @@ impl Shared {
         let Some(store) = self.ckpt.as_deref() else { return };
         let unsaved = std::mem::take(&mut *self.unsaved.lock());
         for (key, v) in unsaved {
-            store.put("derived", &key, &v.to_bytes());
+            store.put("derived", &key, &v.to_bytes(), &[]);
         }
     }
 
@@ -586,22 +587,34 @@ impl Shared {
         )
     }
 
+    /// An embedding table through the store: its vocabulary as metadata,
+    /// its vectors as the raw section (borrowed in place on a warm read).
+    fn cached_table(
+        &self,
+        provider: &str,
+        key: &str,
+        train: impl FnOnce() -> EmbeddingTable,
+    ) -> EmbeddingTable {
+        ckpt::cached(
+            self.ckpt.as_deref(),
+            provider,
+            key,
+            kcb_embed::store::from_raw,
+            |t| {
+                let (meta, vectors) = kcb_embed::store::raw_parts(t);
+                (meta, vec![vectors])
+            },
+            train,
+        )
+    }
+
     /// W2V-Chem: word2vec trained from scratch on the domain corpus.
     pub fn w2v_chem(&self) -> &EmbeddingTable {
         self.w2v_chem.get_or_init(|| {
             let cfg = self.w2v_train_cfg();
-            ckpt::cached_raw(
-                self.ckpt.as_deref(),
-                "embed-w2v-chem",
-                &self.w2v_ckpt_key(),
-                kcb_embed::store::from_raw,
-                kcb_embed::store::from_bytes,
-                |t| {
-                    let (meta, vectors) = kcb_embed::store::raw_parts(t);
-                    (meta, vec![vectors])
-                },
-                || word2vec::train("w2v-chem", self.domain_sentences(), &cfg),
-            )
+            self.cached_table("embed-w2v-chem", &self.w2v_ckpt_key(), || {
+                word2vec::train("w2v-chem", self.domain_sentences(), &cfg)
+            })
         })
     }
 
@@ -609,18 +622,9 @@ impl Shared {
     pub fn glove(&self) -> &EmbeddingTable {
         self.glove.get_or_init(|| {
             let cfg = self.glove_train_cfg();
-            ckpt::cached_raw(
-                self.ckpt.as_deref(),
-                "embed-glove",
-                &self.glove_ckpt_key(),
-                kcb_embed::store::from_raw,
-                kcb_embed::store::from_bytes,
-                |t| {
-                    let (meta, vectors) = kcb_embed::store::raw_parts(t);
-                    (meta, vec![vectors])
-                },
-                || glove::train("glove", self.generic_sentences(), &cfg),
-            )
+            self.cached_table("embed-glove", &self.glove_ckpt_key(), || {
+                glove::train("glove", self.generic_sentences(), &cfg)
+            })
         })
     }
 
@@ -629,25 +633,16 @@ impl Shared {
     pub fn glove_chem(&self) -> &EmbeddingTable {
         self.glove_chem.get_or_init(|| {
             let cfg = self.glove_train_cfg();
-            ckpt::cached_raw(
-                self.ckpt.as_deref(),
-                "embed-glove-chem",
-                &self.glove_chem_ckpt_key(),
-                kcb_embed::store::from_raw,
-                kcb_embed::store::from_bytes,
-                |t| {
-                    let (meta, vectors) = kcb_embed::store::raw_parts(t);
-                    (meta, vec![vectors])
-                },
-                || glove::train_warm("glove-chem", self.domain_sentences(), &cfg, self.glove()),
-            )
+            self.cached_table("embed-glove-chem", &self.glove_chem_ckpt_key(), || {
+                glove::train_warm("glove-chem", self.domain_sentences(), &cfg, self.glove())
+            })
         })
     }
 
     /// BioWordVec stand-in: fastText subword embeddings on domain +
-    /// generic text. Stays on the version-1 decode container: a fastText
-    /// model is word table + n-gram buckets + composition parameters, not
-    /// one flat matrix, so it exercises the legacy path by design.
+    /// generic text. Stored as a byte-only entry: a fastText model is word
+    /// table + n-gram buckets + composition parameters, not one flat
+    /// matrix.
     pub fn biowordvec(&self) -> &FastText {
         self.biowordvec.get_or_init(|| {
             let cfg = self.biowordvec_train_cfg();
@@ -655,8 +650,8 @@ impl Shared {
                 self.ckpt.as_deref(),
                 "embed-biowordvec",
                 &self.biowordvec_ckpt_key(),
-                kcb_embed::store::fasttext_from_bytes,
-                kcb_embed::store::fasttext_to_bytes,
+                |meta, _| kcb_embed::store::fasttext_from_bytes(meta),
+                |m| (kcb_embed::store::fasttext_to_bytes(m), vec![]),
                 || {
                     let mut corpus = self.domain_sentences().clone();
                     corpus.extend(self.generic_sentences().iter().cloned());
@@ -763,8 +758,8 @@ impl Shared {
                 self.ckpt.as_deref(),
                 "wordpiece",
                 &self.wordpiece_ckpt_key(),
-                WordPiece::from_bytes,
-                WordPiece::to_bytes,
+                |meta, _| WordPiece::from_bytes(meta),
+                |wp| (wp.to_bytes(), vec![]),
                 || {
                     let mut counts: HashMap<String, u64> = HashMap::new();
                     let tk = ChemTokenizer::new();
@@ -1020,16 +1015,12 @@ impl Lab {
             // Freshly initialised weights double as the shape reference a
             // cached snapshot must match to be usable.
             let expect = bert.snapshot();
-            let snapshot = ckpt::cached_raw(
+            let snapshot = ckpt::cached(
                 self.shared.ckpt.as_deref(),
                 "lm-bert",
                 &key,
-                |meta, raw| decode_snapshot_raw(meta, raw, &expect),
-                |b| decode_snapshot(b, &expect),
-                |w| {
-                    let (meta, parts) = kcb_lm::ckpt::weights_raw_parts(w);
-                    (meta, parts)
-                },
+                |meta, raw| decode_snapshot(meta, raw, &expect),
+                |w| kcb_lm::ckpt::weights_raw_parts(w),
                 || {
                     let corpus = self.encode_corpus_for_lm(self.shared.cfg.bert_pretrain_cap);
                     bert.pretrain_mlm(&corpus, &self.shared.cfg.bert_pretrain);
@@ -1069,16 +1060,12 @@ impl Lab {
             );
             let gpt = MiniGpt::new(MiniGptConfig { arch });
             let expect = gpt.snapshot();
-            let snapshot = ckpt::cached_raw(
+            let snapshot = ckpt::cached(
                 self.shared.ckpt.as_deref(),
                 "lm-biogpt",
                 &key,
-                |meta, raw| decode_snapshot_raw(meta, raw, &expect),
-                |b| decode_snapshot(b, &expect),
-                |w| {
-                    let (meta, parts) = kcb_lm::ckpt::weights_raw_parts(w);
-                    (meta, parts)
-                },
+                |meta, raw| decode_snapshot(meta, raw, &expect),
+                |w| kcb_lm::ckpt::weights_raw_parts(w),
                 || {
                     let mut corpus = self.encode_corpus_for_lm(self.shared.cfg.gpt_pretrain_cap);
                     let o = self.ontology();
@@ -1150,24 +1137,16 @@ impl Lab {
     }
 }
 
-/// Decodes an LM weight snapshot, rejecting one whose parameter shapes
-/// don't match the freshly initialised model — a stale snapshot must fall
-/// back to retraining, never panic inside `restore`.
-fn decode_snapshot(bytes: &[u8], expect: &[Matrix]) -> kcb_util::Result<Vec<Matrix>> {
-    check_snapshot_shapes(kcb_lm::ckpt::weights_from_bytes(bytes)?, expect)
-}
-
-/// Raw-container counterpart of [`decode_snapshot`]: weights borrow the
-/// mapped payload zero-copy, with the same shape gate.
-fn decode_snapshot_raw(
+/// Decodes an LM weight snapshot (weights borrow the mapped raw section
+/// zero-copy), rejecting one whose parameter shapes don't match the
+/// freshly initialised model — a stale snapshot must fall back to
+/// retraining, never panic inside `restore`.
+fn decode_snapshot(
     meta: &[u8],
-    raw: &kcb_util::mmap::RawSection,
+    raw: &RawSection,
     expect: &[Matrix],
 ) -> kcb_util::Result<Vec<Matrix>> {
-    check_snapshot_shapes(kcb_lm::ckpt::weights_from_raw(meta, raw)?, expect)
-}
-
-fn check_snapshot_shapes(w: Vec<Matrix>, expect: &[Matrix]) -> kcb_util::Result<Vec<Matrix>> {
+    let w = kcb_lm::ckpt::weights_from_raw(meta, raw)?;
     let ok = w.len() == expect.len()
         && w.iter().zip(expect).all(|(a, b)| a.rows() == b.rows() && a.cols() == b.cols());
     if !ok {

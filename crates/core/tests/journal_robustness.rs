@@ -2,11 +2,12 @@
 //!
 //! 1. a proptest round-trip of the self-verifying line codec (arbitrary
 //!    labels, digests and timings survive encode → decode unchanged, and
-//!    any single-bit flip is rejected);
+//!    any single-bit flip is rejected), and of the `KCB_FAULT` spec;
 //! 2. a crash matrix over a journal file — truncation at every byte
-//!    offset and a bit flip in every tail position — asserting that
-//!    replay always yields a clean *prefix* of the original records and
-//!    warns (once) exactly when something was dropped;
+//!    offset, a bit flip in every tail position and a tail line nested far
+//!    past the JSON reader's bound — asserting that replay always yields a
+//!    clean *prefix* of the original records and warns (once) exactly when
+//!    something was dropped;
 //! 3. an end-to-end resume, for a scheduled run and for a sweep: killed
 //!    mid-DAG by an injected panic fault and resumed from its journal, it
 //!    must produce byte-identical artifacts to an uninterrupted run — with
@@ -82,6 +83,19 @@ proptest! {
                 prop_assert_eq!(back, rec, "a decodable flip must be semantically inert");
             }
         }
+    }
+
+    #[test]
+    fn fault_specs_parse_strictly(
+        noise in "[a-z_:0-9+ -]{0,24}",
+        panic in any::<bool>(),
+        after_jobs in 1u64..u64::MAX,
+    ) {
+        let _ = FaultPlan::parse(&noise);
+        let (kind, action) =
+            if panic { ("panic", FaultAction::Panic) } else { ("abort", FaultAction::Abort) };
+        let plan = FaultPlan::parse(&format!("{kind}_after_job:{after_jobs}"));
+        prop_assert_eq!(plan, Ok(FaultPlan { after_jobs, action }));
     }
 }
 
@@ -173,6 +187,19 @@ fn bit_flips_anywhere_in_the_tail_stop_replay_at_the_damage() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
+}
+
+#[test]
+fn a_deeply_nested_tail_line_warns_and_keeps_the_clean_prefix() {
+    let (path, mut bytes, recs) = written_journal("nested", 3);
+    bytes.extend(std::iter::repeat_n(b'[', 2_000_000));
+    bytes.push(b'\n');
+    assert_prefix(&path, &bytes, &recs, "nested tail");
+    let replay = journal::load(&path);
+    assert_eq!(replay.records.len(), recs.len(), "every record before the tail survives");
+    let warning = replay.warning.expect("the damaged tail warns");
+    assert!(warning.contains("1 damaged") && warning.contains("nesting"), "{warning}");
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 

@@ -47,11 +47,11 @@ fn artifacts_are_byte_identical_across_worker_counts() {
         ("glove", lab1.glove(), lab4.glove()),
         ("glove-chem", lab1.glove_chem(), lab4.glove_chem()),
     ] {
-        assert_eq!(
-            kcb_embed::store::to_bytes(t1).to_vec(),
-            kcb_embed::store::to_bytes(t4).to_vec(),
-            "{name} store bytes differ across thread counts"
-        );
+        let bits = |t| {
+            let (meta, vectors) = kcb_embed::store::raw_parts(t);
+            (meta, vectors.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        assert_eq!(bits(t1), bits(t4), "{name} store bytes differ across thread counts");
     }
     assert_eq!(
         kcb_embed::store::fasttext_to_bytes(lab1.biowordvec()),

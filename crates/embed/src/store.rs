@@ -1,94 +1,38 @@
-//! Compact binary serialization for trained [`EmbeddingTable`]s, so that
-//! expensive embedding pre-training can be cached between experiment runs.
+//! Checkpoint codecs for trained embedding models, so that expensive
+//! embedding pre-training can be cached between experiment runs.
 //!
-//! Format (little-endian): magic `KCBE`, version u32, dim u32, n u32, name
-//! (u32 length + UTF-8), then per token: u32 name length, UTF-8 bytes,
-//! u64 count, `dim` f32 values.
+//! An [`EmbeddingTable`] splits into a metadata blob and its flat vector
+//! matrix ([`raw_parts`]), which the checkpoint store keeps as the
+//! container's raw section so a warm start borrows the vectors in place
+//! ([`from_raw`]). Metadata format (little-endian): magic `KCBE`, version
+//! u32, dim u32, n u32, name (u32 length + UTF-8), then per token: u32 name
+//! length, UTF-8 bytes, u64 count.
+//!
+//! A fastText model is not one flat matrix, so it round-trips through bytes
+//! alone ([`fasttext_to_bytes`], [`fasttext_from_bytes`]).
 
 use crate::model::{EmbeddingModel, EmbeddingTable};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use kcb_ml::linalg::Matrix;
 use kcb_text::Vocab;
 use kcb_util::{Error, Result};
 use std::collections::HashMap;
 
 const MAGIC: &[u8; 4] = b"KCBE";
-const VERSION: u32 = 1;
-
-/// Serializes a table to bytes.
-pub fn to_bytes(table: &EmbeddingTable) -> Bytes {
-    let vocab = table.vocab();
-    let dim = table.vectors().cols();
-    let mut buf = BytesMut::with_capacity(16 + vocab.len() * (16 + dim * 4));
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(dim as u32);
-    buf.put_u32_le(vocab.len() as u32);
-    put_str(&mut buf, table.name());
-    for id in 0..vocab.len() as u32 {
-        put_str(&mut buf, vocab.token(id));
-        buf.put_u64_le(vocab.count(id));
-        for &v in table.vector(id) {
-            buf.put_f32_le(v);
-        }
-    }
-    buf.freeze()
-}
-
-/// Deserializes a table from bytes.
-pub fn from_bytes(mut buf: &[u8]) -> Result<EmbeddingTable> {
-    let err = |m: &str| Error::parse("embedding store", m);
-    if buf.remaining() < 16 || &buf[..4] != MAGIC {
-        return Err(err("bad magic"));
-    }
-    buf.advance(4);
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(err(&format!("unsupported version {version}")));
-    }
-    let dim = buf.get_u32_le() as usize;
-    let n = buf.get_u32_le() as usize;
-    let name = get_str(&mut buf)?;
-    let mut counts: Vec<(String, u64)> = Vec::with_capacity(n);
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n {
-        let tok = get_str(&mut buf)?;
-        if buf.remaining() < 8 + dim * 4 {
-            return Err(err("truncated record"));
-        }
-        let count = buf.get_u64_le();
-        counts.push((tok, count));
-        for _ in 0..dim {
-            data.push(buf.get_f32_le());
-        }
-    }
-    // Rebuild the vocabulary preserving the stored (frequency) order: the
-    // stored order is exactly Vocab's canonical order, so reconstructing
-    // from counts reproduces the same ids.
-    let map: HashMap<String, u64> = counts.iter().cloned().collect();
-    let vocab = Vocab::from_counts(map, 0);
-    // Sanity: ids must line up with stored row order.
-    for (i, (tok, _)) in counts.iter().enumerate() {
-        if vocab.id(tok) != Some(i as u32) {
-            return Err(err("vocabulary order mismatch (corrupt or duplicate tokens)"));
-        }
-    }
-    Ok(EmbeddingTable::new(name, vocab, Matrix::from_vec(data, n, dim)))
-}
-
-/// Version tag for the raw-payload split encoding ([`raw_parts`]).
-const RAW_VERSION: u32 = 2;
+/// Metadata version. Version 1 was a standalone format with the vectors
+/// inline; it is no longer read.
+const VERSION: u32 = 2;
 
 /// Splits a table into a small metadata blob (shape, name, vocabulary
 /// records — everything except vectors) plus the flat vector slice, for the
-/// raw-payload (`KCBC` v2) container section. The payload is the row-major
-/// vector matrix.
+/// checkpoint container's raw section. The payload is the row-major vector
+/// matrix.
 pub fn raw_parts(table: &EmbeddingTable) -> (Vec<u8>, &[f32]) {
     let vocab = table.vocab();
     let dim = table.vectors().cols();
     let mut buf = BytesMut::with_capacity(16 + vocab.len() * 16);
     buf.put_slice(MAGIC);
-    buf.put_u32_le(RAW_VERSION);
+    buf.put_u32_le(VERSION);
     buf.put_u32_le(dim as u32);
     buf.put_u32_le(vocab.len() as u32);
     put_str(&mut buf, table.name());
@@ -101,7 +45,7 @@ pub fn raw_parts(table: &EmbeddingTable) -> (Vec<u8>, &[f32]) {
 
 /// Rebuilds a table from [`raw_parts`] metadata plus the raw section. The
 /// vector matrix borrows the section zero-copy when it is memory-mapped and
-/// aligned; bits are identical to the decode path either way.
+/// aligned, and owns decoded elements otherwise; the bits are the same.
 pub fn from_raw(meta: &[u8], raw: &kcb_util::mmap::RawSection) -> Result<EmbeddingTable> {
     let err = |m: &str| Error::parse("embedding store", m);
     let mut buf: &[u8] = meta;
@@ -110,12 +54,16 @@ pub fn from_raw(meta: &[u8], raw: &kcb_util::mmap::RawSection) -> Result<Embeddi
     }
     buf.advance(4);
     let version = buf.get_u32_le();
-    if version != RAW_VERSION {
-        return Err(err(&format!("unsupported raw version {version}")));
+    if version != VERSION {
+        return Err(err(&format!("unsupported version {version}")));
     }
     let dim = buf.get_u32_le() as usize;
     let n = buf.get_u32_le() as usize;
     let name = get_str(&mut buf)?;
+    // Each record holds at least a length and a count.
+    if n.saturating_mul(12) > buf.remaining() {
+        return Err(err("token count exceeds the metadata"));
+    }
     let mut counts: Vec<(String, u64)> = Vec::with_capacity(n);
     for _ in 0..n {
         let tok = get_str(&mut buf)?;
@@ -159,18 +107,6 @@ pub fn fasttext_from_bytes(bytes: &[u8]) -> Result<crate::FastText> {
     Ok(m)
 }
 
-/// Saves a table to a file.
-pub fn save(table: &EmbeddingTable, path: &std::path::Path) -> Result<()> {
-    std::fs::write(path, to_bytes(table))?;
-    Ok(())
-}
-
-/// Loads a table from a file.
-pub fn load(path: &std::path::Path) -> Result<EmbeddingTable> {
-    let data = std::fs::read(path)?;
-    from_bytes(&data)
-}
-
 fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
@@ -193,6 +129,7 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kcb_util::mmap::{pack_f32s, RawSection};
 
     fn table() -> EmbeddingTable {
         let counts: HashMap<String, u64> =
@@ -208,63 +145,86 @@ mod tests {
         EmbeddingTable::new("w2v-chem", vocab, vectors)
     }
 
-    #[test]
-    fn round_trip_exact() {
-        let t = table();
-        let bytes = to_bytes(&t);
-        let u = from_bytes(&bytes).unwrap();
-        assert_eq!(u.name(), "w2v-chem");
-        assert_eq!(u.vocab_size(), 3);
-        assert_eq!(u.dim(), 3);
-        for id in 0..3u32 {
+    /// The raw section a checkpoint read would hand over, read into memory.
+    fn owned(parts: &[&[f32]]) -> RawSection {
+        let (bytes, sums) = pack_f32s(parts);
+        let len = bytes.len();
+        RawSection::from_owned(bytes, 0, len, sums).unwrap()
+    }
+
+    fn assert_same(t: &EmbeddingTable, u: &EmbeddingTable) {
+        assert_eq!(u.name(), t.name());
+        assert_eq!((u.vocab_size(), u.dim()), (t.vocab_size(), t.dim()));
+        for id in 0..t.vocab_size() as u32 {
             assert_eq!(t.vocab().token(id), u.vocab().token(id));
             assert_eq!(t.vocab().count(id), u.vocab().count(id));
             assert_eq!(t.vector(id), u.vector(id));
         }
+    }
+
+    #[test]
+    fn round_trip_exact() {
+        let t = table();
+        let (meta, vectors) = raw_parts(&t);
+        let u = from_raw(&meta, &owned(&[vectors])).unwrap();
+        assert_same(&t, &u);
     }
 
     #[test]
     fn raw_parts_round_trip_exact() {
+        // The vectors are the table's own slice, and the metadata holds
+        // everything else.
         let t = table();
         let (meta, vectors) = raw_parts(&t);
-        let (bytes, sums) = kcb_util::mmap::pack_f32s(&[vectors]);
-        let len = bytes.len();
-        let raw = kcb_util::mmap::RawSection::from_owned(bytes, 0, len, sums).unwrap();
-        let u = from_raw(&meta, &raw).unwrap();
-        assert_eq!(u.name(), t.name());
-        assert_eq!(u.vocab_size(), t.vocab_size());
-        for id in 0..3u32 {
-            assert_eq!(t.vocab().token(id), u.vocab().token(id));
-            assert_eq!(t.vocab().count(id), u.vocab().count(id));
-            assert_eq!(t.vector(id), u.vector(id));
-        }
+        assert_eq!(vectors.as_ptr(), t.vectors().as_slice().as_ptr());
+        assert_same(&t, &from_raw(&meta, &owned(&[vectors])).unwrap());
         // Mismatched payload size (extra row) must reject.
-        let (bytes2, sums2) = kcb_util::mmap::pack_f32s(&[vectors, &[1.0, 2.0, 3.0]]);
-        let len2 = bytes2.len();
-        let raw2 = kcb_util::mmap::RawSection::from_owned(bytes2, 0, len2, sums2).unwrap();
-        assert!(from_raw(&meta, &raw2).is_err());
+        assert!(from_raw(&meta, &owned(&[vectors, &[1.0, 2.0, 3.0]])).is_err());
     }
 
+    #[cfg(unix)]
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("kcb-embed-store-test");
+        // Through a file and a mapping, as a warm checkpoint read does: the
+        // vectors borrow the mapped bytes in place.
+        let dir = std::env::temp_dir().join(format!("kcb-embed-store-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("table.kcbe");
+        let path = dir.join("table.raw");
         let t = table();
-        save(&t, &path).unwrap();
-        let u = load(&path).unwrap();
-        assert_eq!(u.name(), t.name());
-        assert_eq!(u.vectors().as_slice(), t.vectors().as_slice());
-        std::fs::remove_file(&path).ok();
+        let (meta, vectors) = raw_parts(&t);
+        let (bytes, sums) = pack_f32s(&[vectors]);
+        std::fs::write(&path, &bytes).unwrap();
+        let map = std::sync::Arc::new(kcb_util::mmap::Mmap::open(&path).unwrap());
+        let raw = RawSection::from_map(map, 0, bytes.len(), sums).unwrap();
+        assert!(raw.is_mapped());
+        let u = from_raw(&meta, &raw).unwrap();
+        drop(raw);
+        assert_same(&t, &u);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn rejects_corrupt_input() {
-        assert!(from_bytes(b"nope").is_err());
-        assert!(from_bytes(b"KCBE\x01\x00\x00\x00").is_err());
-        let mut good = to_bytes(&table()).to_vec();
-        good.truncate(good.len() - 5);
-        assert!(from_bytes(&good).is_err());
+        let empty = owned(&[]);
+        assert!(from_raw(b"nope", &empty).is_err());
+        assert!(from_raw(b"KCBE\x02\x00\x00\x00", &empty).is_err());
+        let t = table();
+        let (meta, vectors) = raw_parts(&t);
+        let raw = owned(&[vectors]);
+        // Version-1 metadata, truncation, a trailing byte and a token
+        // count beyond the metadata are all rejected.
+        let mut v1 = meta.clone();
+        v1[4] = 1;
+        assert!(from_raw(&v1, &raw).is_err());
+        for cut in 0..meta.len() {
+            assert!(from_raw(&meta[..cut], &raw).is_err(), "cut {cut}");
+        }
+        let mut long = meta.clone();
+        long.push(0);
+        assert!(from_raw(&long, &raw).is_err());
+        let mut many = meta.clone();
+        many[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(from_raw(&many, &raw).is_err());
     }
 
     fn fasttext_model() -> crate::FastText {
@@ -337,7 +297,8 @@ mod tests {
                     .map(|v| if v.is_nan() { 0.0 } else { v })
                     .collect();
                 let t = EmbeddingTable::new("prop", vocab, Matrix::from_vec(data, n, dim));
-                let u = from_bytes(&to_bytes(&t)).unwrap();
+                let (meta, vectors) = raw_parts(&t);
+                let u = from_raw(&meta, &owned(&[vectors])).unwrap();
                 prop_assert_eq!(u.name(), t.name());
                 let bits = |m: &EmbeddingTable| {
                     m.vectors().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -352,7 +313,7 @@ mod tests {
             /// Feeding the decoder arbitrary garbage must error, not panic.
             #[test]
             fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-                let _ = from_bytes(&bytes);
+                let _ = from_raw(&bytes, &owned(&[]));
                 let _ = fasttext_from_bytes(&bytes);
             }
         }

@@ -149,13 +149,12 @@ pub fn sigmoid(x: f32) -> f32 {
 
 /// Dot product, accumulated in four independent lanes (lane `i` sums the
 /// products at indices `≡ i mod 4`, then `(l0+l2)+(l1+l3)` plus the tail in
-/// order). Dispatches to the explicit-width kernels in `kcb_util::simd`;
-/// every backend preserves that association, so results stay bitwise
-/// deterministic for a given slice length regardless of backend or thread
-/// count.
+/// order). Runs the explicit-width kernel in `kcb_util::simd`, which keeps
+/// that association, so results stay bitwise deterministic for a given
+/// slice length regardless of thread count.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    kcb_util::simd::dot(a, b)
+    kcb_util::simd::dot_wide(a, b)
 }
 
 /// Four dot products of `a` against `b0..b3`, interleaved. Each result is
@@ -165,7 +164,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// needs on one core.
 #[inline]
 pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    kcb_util::simd::dot4(a, b0, b1, b2, b3)
+    kcb_util::simd::dot4_wide(a, b0, b1, b2, b3)
 }
 
 /// `y += alpha * x`.

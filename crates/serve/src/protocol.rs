@@ -473,10 +473,79 @@ mod tests {
             render_proba(9, 0.5),
             render_shutdown(10),
         ] {
-            kcb_obs::json::validate(&reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
-            let v = parse_value(&reply).unwrap();
+            let v = parse_value(&reply).unwrap_or_else(|e| panic!("{reply}: {e}"));
             assert!(v.get("id").is_some() && v.get("ok").is_some(), "{reply}");
         }
         assert!(render_overloaded(2).contains(r#""error":"overloaded""#));
+    }
+
+    /// Request line fragments, valid and not.
+    const FIELDS: &[&str] = &[
+        r#""id":7"#,
+        r#""id":-1"#,
+        r#""id":18446744073709551616"#,
+        r#""op":"nn""#,
+        r#""op":"classify""#,
+        r#""op":"bert""#,
+        r#""op":"ping""#,
+        r#""op":7"#,
+        r#""token":"acid""#,
+        r#""token":["#,
+        r#""k":3"#,
+        r#""k":1e400"#,
+        r#""int8":true"#,
+        r#""s":4294967296"#,
+        r#""r":256"#,
+        r#""r":1"#,
+        r#""o":0"#,
+        r#""name":"table2""#,
+        "[[[[",
+        "}",
+    ];
+
+    fn request(ix: u8, id: u64, text: String, n: u64) -> Request {
+        let op = match ix % Op::COUNT as u8 {
+            0 => Op::Ping,
+            1 => Op::Stats,
+            2 => Op::Health,
+            3 => Op::Flight,
+            4 => Op::Artifacts,
+            5 => Op::Artifact { name: text },
+            6 => Op::Embed { token: text },
+            7 => Op::Nn { token: text, k: n as usize, int8: n % 2 == 1 },
+            8 => Op::Classify { s: n as u32, r: (n >> 32) as u8, o: (n >> 40) as u32 },
+            9 => Op::Bert { s: (n >> 8) as u32, r: n as u8, o: (n >> 16) as u32 },
+            _ => Op::Shutdown,
+        };
+        Request { id, op }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_request_never_panics(
+            picks in proptest::prop::collection::vec(0usize..64, 0..8),
+            braces in 0usize..300,
+            noise in ".{0,40}",
+        ) {
+            let fields: Vec<&str> = picks.iter().map(|p| FIELDS[p % FIELDS.len()]).collect();
+            let line = format!("{{{}}}", fields.join(","));
+            let _ = parse_request(&line);
+            let _ = parse_request(&format!("{}{line}", "{\"a\":".repeat(braces)));
+            let _ = parse_request(&noise);
+        }
+
+        #[test]
+        fn rendered_requests_round_trip(
+            ix in 0u8..255,
+            id in proptest::any::<u64>(),
+            text in ".{0,12}",
+            n in proptest::any::<u64>(),
+        ) {
+            let req = request(ix, id, text, n);
+            let line = render_request(&req);
+            proptest::prop_assert_eq!(parse_request(&line), Ok(req), "{}", line);
+        }
     }
 }

@@ -82,7 +82,9 @@ impl Server {
             acceptors.push(
                 std::thread::Builder::new()
                     .name("kcb-serve-tcp".into())
-                    .spawn(move || accept_loop_tcp(&listener, &engine, &stop))
+                    .spawn(move || {
+                        accept_loop(|| listener.accept().map(|(s, _)| s), handle_tcp, &engine, &stop)
+                    })
                     .expect("spawn acceptor"),
             );
         }
@@ -97,7 +99,9 @@ impl Server {
             acceptors.push(
                 std::thread::Builder::new()
                     .name("kcb-serve-unix".into())
-                    .spawn(move || accept_loop_unix(&listener, &engine, &stop))
+                    .spawn(move || {
+                        accept_loop(|| listener.accept().map(|(s, _)| s), handle_unix, &engine, &stop)
+                    })
                     .expect("spawn acceptor"),
             );
         }
@@ -156,45 +160,33 @@ impl Server {
 
 const POLL: Duration = Duration::from_millis(10);
 
-fn accept_loop_tcp(listener: &TcpListener, engine: &Arc<Engine>, stop: &Arc<AtomicBool>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let (engine, stop) = (Arc::clone(engine), Arc::clone(stop));
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("kcb-serve-conn".into())
-                        .spawn(move || handle_tcp(stream, &engine, &stop))
-                        .expect("spawn connection"),
-                );
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-}
-
-#[cfg(unix)]
-fn accept_loop_unix(
-    listener: &std::os::unix::net::UnixListener,
+/// One listener's accept loop: a thread per connection running `handle`.
+///
+/// Finished connections are joined as the loop goes, so a closed
+/// connection's thread stack is released at once rather than kept until
+/// shutdown. A connection whose thread cannot be spawned is dropped (the
+/// peer sees it close) and the loop keeps accepting. On stop, the live
+/// connections are joined.
+fn accept_loop<S: Send + 'static>(
+    accept: impl Fn() -> std::io::Result<S>,
+    handle: fn(S, &Engine, &AtomicBool),
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|c| c.is_finished());
+        for c in done {
+            let _ = c.join();
+        }
+        conns = live;
+        match accept() {
+            Ok(stream) => {
                 let (engine, stop) = (Arc::clone(engine), Arc::clone(stop));
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("kcb-serve-conn".into())
-                        .spawn(move || handle_unix(stream, &engine, &stop))
-                        .expect("spawn connection"),
-                );
+                let spawned = std::thread::Builder::new()
+                    .name("kcb-serve-conn".into())
+                    .spawn(move || handle(stream, &engine, &stop));
+                conns.extend(spawned.ok());
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => break,

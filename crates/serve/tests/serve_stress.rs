@@ -11,7 +11,8 @@
 //!    ops and honours `shutdown` with a graceful drain.
 //! 4. **Bounded request lines**: a peer that never sends a newline gets a
 //!    typed `too_large` reply and a closed connection, and other
-//!    connections are still served.
+//!    connections are still served; a line nested far past the JSON
+//!    reader's bound is an ordinary `bad_request`.
 
 use kcb_core::lab::{Lab, LabConfig};
 use kcb_core::snapshot::{Snapshot, SnapshotSpec};
@@ -230,5 +231,39 @@ fn an_overlong_request_line_is_refused_and_only_that_connection_closed() {
     BufReader::new(other.try_clone().unwrap()).read_line(&mut pong).expect("pong");
     assert!(pong.contains(r#""id":7"#) && pong.contains(r#""ok":true"#), "{pong}");
     other.write_all(b"{\"id\":8,\"op\":\"shutdown\"}\n").unwrap();
+    server.wait();
+}
+
+#[test]
+fn a_deeply_nested_request_line_is_a_bad_request_and_the_daemon_keeps_serving() {
+    let lab = Lab::new(LabConfig::tiny());
+    let snap = Snapshot::freeze(&lab, SnapshotSpec { bert: false, ..SnapshotSpec::default() });
+    let server = Server::start(
+        Arc::new(snap),
+        &ServerConfig { tcp: Some("127.0.0.1:0".to_string()), ..ServerConfig::default() },
+    )
+    .expect("bind");
+    let addr = server.tcp_addr.expect("tcp bound");
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut ask = |line: &str| {
+        stream.write_all(line.as_bytes()).expect("write");
+        stream.write_all(b"\n").expect("write");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("a reply");
+        reply
+    };
+
+    // Under the line cap, so it reaches the JSON reader.
+    let nested = "[".repeat(60_000);
+    assert!(nested.len() < MAX_LINE);
+    let reply = ask(&nested);
+    assert!(reply.contains(r#""error":"bad_request""#), "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+    // The same connection, and the daemon, keep answering.
+    let pong = ask(r#"{"id":2,"op":"ping"}"#);
+    assert!(pong.contains(r#""id":2"#) && pong.contains(r#""ok":true"#), "{pong}");
+    ask(r#"{"id":3,"op":"shutdown"}"#);
     server.wait();
 }

@@ -130,6 +130,11 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Borrows the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])

@@ -14,10 +14,16 @@
 
 use serde::{Number, Value};
 
-/// Parses one complete JSON value (rejecting trailing data). Errors name
-/// the byte offset.
+/// Deepest array/object nesting [`parse_value`] accepts. The deepest JSON
+/// kcb writes and reads back nests 5 levels; the bound keeps a hostile
+/// line (a request, a damaged journal tail) from recursing the parser off
+/// the end of its thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON value (rejecting trailing data and nesting
+/// deeper than [`MAX_DEPTH`]). Errors name the byte offset.
 pub fn parse_value(s: &str) -> Result<Value, String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
+    let mut p = Parser { s, b: s.as_bytes(), i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -28,8 +34,11 @@ pub fn parse_value(s: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -58,8 +67,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.eat("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Value::Bool(false)),
@@ -67,6 +79,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -165,10 +184,11 @@ impl Parser<'_> {
                 }
                 c if c < 0x20 => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Multi-byte UTF-8: push the full char.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("unterminated"))?;
+                    // Multi-byte UTF-8: push the full char (`i` is on a
+                    // char boundary, since it only ever steps over whole
+                    // chars or ASCII bytes).
+                    let rest = &self.s[self.i..];
+                    let ch = rest.chars().next().expect("peek saw a byte, so a char follows");
                     out.push(ch);
                     self.i += ch.len_utf8();
                 }
@@ -259,6 +279,21 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Far past the bound, unclosed and mixed: an error, not a
+        // recursion to the end of the stack.
+        assert!(parse_value(&"[".repeat(2_000_000)).is_err());
+        assert!(parse_value(&r#"{"a":"#.repeat(200_000)).is_err());
+        // Depth is the number of open containers, not of containers seen.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse_value(&wide).is_ok());
+    }
+
+    #[test]
     fn integer_vs_float_distinction_survives() {
         let v = parse_value("[3,3.0,-3]").unwrap();
         let a = v.as_array().unwrap();
@@ -266,5 +301,99 @@ mod tests {
         assert_eq!(a[1], Value::Number(Number::F(3.0)));
         assert_eq!(a[2], Value::Number(Number::I(-3)));
         assert_eq!(v.render_json(None), "[3,3.0,-3]");
+    }
+
+    /// Characters JSON text is made of, plus a few that break it.
+    const JSONISH: &[char] = &[
+        '[', ']', '{', '}', '"', ',', ':', ' ', '\n', '0', '7', '-', '+', '.', 'e', 'E', 't', 'r',
+        'u', 'n', 'l', 'f', 'a', 's', '\\', '/', 'x', 'é', '\u{1}',
+    ];
+
+    fn jsonish(ix: Vec<usize>) -> String {
+        ix.into_iter().map(|i| JSONISH[i % JSONISH.len()]).collect()
+    }
+
+    /// A finite float that renders with a `.` or an exponent, so it reads
+    /// back as a float.
+    fn float(n: u64) -> f64 {
+        let v = f64::from_bits(n);
+        if v.is_finite() && v.abs() < 1e15 { v } else { (n % 1_000_003) as f64 / 64.0 }
+    }
+
+    fn scalar(op: u8, n: u64, s: &str) -> Value {
+        match op % 6 {
+            0 => Value::Null,
+            1 => Value::Bool(n % 2 == 1),
+            2 => Value::Number(Number::U(n)),
+            3 => Value::Number(Number::I(-((n >> 1) as i64) - 1)),
+            4 => Value::Number(Number::F(float(n))),
+            _ => Value::String(s.to_string()),
+        }
+    }
+
+    fn append(container: &mut Value, key: &str, v: Value) {
+        match container {
+            Value::Array(items) => items.push(v),
+            Value::Object(fields) => fields.push((key.to_string(), v)),
+            _ => unreachable!("only containers are open"),
+        }
+    }
+
+    /// Builds a nested value from a flat op list (the vendored proptest
+    /// has no recursive strategies): op 0 opens an array, 1 opens an
+    /// object, 2 closes the innermost container, anything else appends a
+    /// scalar. Open containers are closed at the end.
+    fn build(ops: &[(u8, u64, String)]) -> Value {
+        let mut stack = vec![Value::Array(Vec::new())];
+        for (op, n, s) in ops {
+            match op % 9 {
+                0 if stack.len() < 12 => stack.push(Value::Array(Vec::new())),
+                1 if stack.len() < 12 => stack.push(Value::Object(Vec::new())),
+                2 if stack.len() > 1 => {
+                    let v = stack.pop().expect("open container");
+                    append(stack.last_mut().expect("root"), s, v);
+                }
+                _ => append(stack.last_mut().expect("root"), s, scalar(*op, *n, s)),
+            }
+        }
+        while stack.len() > 1 {
+            let v = stack.pop().expect("open container");
+            append(stack.last_mut().expect("root"), "k", v);
+        }
+        stack.pop().expect("root")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_value_never_panics(
+            text in proptest::prop::collection::vec(0usize..64, 0..200),
+            depth in 0usize..400,
+            regex in "[a-z0-9{}:,. \"-]{0,64}",
+        ) {
+            let text = jsonish(text);
+            let _ = parse_value(&text);
+            let _ = parse_value(&regex);
+            // The same text under nesting up to three times the bound.
+            let _ = parse_value(&format!("{}{text}", "[".repeat(depth)));
+            let _ = parse_value(&format!("{}{regex}{}", "[".repeat(depth), "]".repeat(depth)));
+        }
+
+        #[test]
+        fn rendered_values_parse_back_to_the_same_value_and_bytes(
+            ops in proptest::prop::collection::vec(
+                (0u8..255, proptest::any::<u64>(), "[a-z\"\\\n\t\u{1}é/ ]{0,6}"),
+                0..40,
+            ),
+        ) {
+            let v = build(&ops);
+            for indent in [None, Some(2)] {
+                let text = v.render_json(indent);
+                let back = parse_value(&text).map_err(proptest::TestCaseError::fail)?;
+                proptest::prop_assert_eq!(&back, &v);
+                proptest::prop_assert_eq!(back.render_json(indent), text);
+            }
+        }
     }
 }

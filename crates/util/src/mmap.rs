@@ -18,7 +18,7 @@
 //!   stripes it actually touches.
 //! * [`SharedF32`] — a cheaply clonable `&[f32]` view that either borrows
 //!   the mapping in place (zero copy, alignment pre-checked) or owns a
-//!   decoded `Vec<f32>` (the fallback for unaligned/legacy payloads).
+//!   decoded `Vec<f32>` (the fallback for owned or unaligned bytes).
 //!
 //! Bit-compatibility: an f32 slice borrowed from a mapping and one decoded
 //! element-wise from the same LE bytes are identical on little-endian
@@ -279,7 +279,8 @@ impl RawSection {
         Ok(Self { backing: RawBacking::Map(map), raw_off, raw_len, stripe_sums, verified })
     }
 
-    /// Raw section over owned file bytes (the `--no-mmap` / non-Unix path).
+    /// Raw section over owned bytes: the fallback where a checkpoint file
+    /// cannot be mapped (non-Unix targets, a failed `mmap`).
     pub fn from_owned(bytes: Vec<u8>, raw_off: usize, raw_len: usize, stripe_sums: Vec<u64>) -> Result<Self> {
         Self::validate(raw_off, raw_len, bytes.len(), &stripe_sums)?;
         let verified = (0..stripe_sums.len()).map(|_| AtomicBool::new(false)).collect();

@@ -9,48 +9,11 @@
 //! (two fused lane updates per 8-element chunk, so LLVM emits 256-bit ops),
 //! never *what* is summed with what.
 //!
-//! A `scalar` backend with the identical association is kept both as the
-//! benchmark baseline and as a cross-check: `simd_vs_scalar` tests assert
-//! bitwise equality at every length class. The scalar variant walks each
-//! lane in a separate strided pass, which defeats auto-vectorization and so
-//! measures what the query path would cost without the wide kernels.
-//!
-//! Backend selection happens once per process through [`backend`], reading
-//! the `KCB_SIMD` environment variable (`"scalar"` or `"wide"`, default
-//! wide). Because both backends share one association, the choice affects
-//! throughput only — never bits.
-
-use std::sync::OnceLock;
-
-/// Kernel backend: portable chunks-of-8 (`Wide`) or the strided scalar
-/// reference (`Scalar`). Both produce bitwise-identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Strided per-lane scalar loops (baseline; resists auto-vectorization).
-    Scalar,
-    /// Chunks-of-8 loops shaped for 256-bit SIMD code generation.
-    Wide,
-}
-
-static BACKEND: OnceLock<Backend> = OnceLock::new();
-
-/// Process-wide kernel backend, resolved once from `KCB_SIMD`
-/// (`"scalar"` selects the reference loops; anything else means wide).
-pub fn backend() -> Backend {
-    *BACKEND.get_or_init(|| match std::env::var("KCB_SIMD") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => Backend::Scalar,
-        _ => Backend::Wide,
-    })
-}
-
-/// Dot product via the process backend. Bitwise identical between backends.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    match backend() {
-        Backend::Wide => dot_wide(a, b),
-        Backend::Scalar => dot_scalar(a, b),
-    }
-}
+//! A scalar variant with the identical association ([`dot_scalar`]) is kept
+//! both as the benchmark baseline and as a cross-check: the tests assert
+//! bitwise equality at every length class. It walks each lane in a separate
+//! strided pass, which defeats auto-vectorization and so measures what the
+//! query path would cost without the wide kernels.
 
 /// Wide dot product: chunks of 8, two four-lane updates per chunk, then a
 /// chunk-of-4 fixup and the in-order tail. Same association as the original
@@ -106,21 +69,6 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
         s += x * y;
     }
     s
-}
-
-/// Four dots of `a` against `b0..b3` via the process backend; each result is
-/// bitwise identical to [`dot`] on that pair.
-#[inline]
-pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    match backend() {
-        Backend::Wide => dot4_wide(a, b0, b1, b2, b3),
-        Backend::Scalar => [
-            dot_scalar(a, b0),
-            dot_scalar(a, b1),
-            dot_scalar(a, b2),
-            dot_scalar(a, b3),
-        ],
-    }
 }
 
 /// Wide interleaved four-dot: 16 independent accumulator lanes hide FP-add
@@ -227,7 +175,7 @@ mod tests {
     }
 
     /// The original four-lane kernel, transcribed verbatim, as the
-    /// association oracle for both backends.
+    /// association oracle for the wide and scalar kernels.
     fn dot_reference(a: &[f32], b: &[f32]) -> f32 {
         let mut lanes = [0.0f32; 4];
         let ca = a.chunks_exact(4);
@@ -303,12 +251,5 @@ mod tests {
         // Saturation check: full-magnitude vectors stay exact in i32.
         let lo = vec![-128i8; 64];
         assert_eq!(dot_i8(&lo, &lo), 64 * 128 * 128);
-    }
-
-    #[test]
-    fn backend_env_defaults_to_wide() {
-        // The env var is unset in the test harness; the resolved backend
-        // must be deterministic for the whole process.
-        assert_eq!(backend(), backend());
     }
 }
