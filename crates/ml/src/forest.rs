@@ -4,7 +4,7 @@
 //! source of the Figure A1 importance analysis).
 
 use crate::linalg::Matrix;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Ranks, TreeConfig};
 use kcb_util::{pool, Rng};
 
 /// Random-forest hyperparameters.
@@ -55,7 +55,11 @@ pub struct RandomForest {
 impl RandomForest {
     /// Fits the forest. Each tree trains on a bootstrap resample of the
     /// rows; per-tree RNG streams are derived from the seed and the tree
-    /// index, so results do not depend on thread scheduling.
+    /// index, so results do not depend on thread scheduling. The matrix is
+    /// ranked once (see [`crate::tree`]) and every tree reads that table.
+    ///
+    /// Panics with "NaN feature value" when any cell of `x` is NaN, whether
+    /// or not a tree would have sampled its column.
     ///
     /// ```
     /// use kcb_ml::linalg::Matrix;
@@ -76,6 +80,20 @@ impl RandomForest {
             .arg("rows", x.rows())
             .arg("cols", x.cols());
         kcb_obs::counter("forest.fits", 1);
+        let ranks = Ranks::new(x);
+        Self::fit_trees(x, y, cfg, |indices, tree_cfg, rng| {
+            DecisionTree::fit_ranked(x, &ranks, y, indices, tree_cfg, rng)
+        })
+    }
+
+    /// Grows `cfg.n_trees` trees with `fit_tree` (on a bootstrap sample, a
+    /// tree config and the tree's `Rng` stream) and scores them out of bag.
+    fn fit_trees(
+        x: &Matrix,
+        y: &[bool],
+        cfg: &RandomForestConfig,
+        fit_tree: impl Fn(&[usize], &TreeConfig, &mut Rng) -> DecisionTree + Sync,
+    ) -> Self {
         let mtry = cfg
             .n_features_per_split
             .unwrap_or_else(|| (x.cols() as f64).sqrt().round().max(1.0) as usize);
@@ -96,7 +114,7 @@ impl RandomForest {
         };
         let fit_one = |t: usize| -> DecisionTree {
             let (indices, mut rng) = bootstrap(t);
-            DecisionTree::fit(x, y, &indices, &tree_cfg, &mut rng)
+            fit_tree(&indices, &tree_cfg, &mut rng)
         };
 
         // Pool arbitration: yields to cell-level parallelism (fan-out 1 on
@@ -277,6 +295,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::reference;
 
     /// y = (x0 > 0.5) XOR (x1 > 0.5) with noise features.
     fn xor_data(n: usize, seed: u64) -> (Matrix, Vec<bool>) {
@@ -391,6 +410,45 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[4] ^= 0xff;
         assert!(RandomForest::from_bytes(&flipped).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN feature value")]
+    fn nan_anywhere_panics_even_if_no_tree_samples_it() {
+        let (mut x, y) = xor_data(50, 14);
+        x.row_mut(7)[3] = f32::NAN;
+        let cfg = RandomForestConfig { n_trees: 2, max_depth: 0, n_threads: 1, ..Default::default() };
+        let _ = RandomForest::fit(&x, &y, &cfg);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn forest_bytes_match_the_sort_reference(
+            seed in proptest::any::<u64>(),
+            rows in 1usize..80,
+            cols in 1usize..6,
+            n_trees in 1usize..5,
+            n_threads in 1usize..3,
+            max_depth in 0usize..21,
+            min_samples_leaf in 1usize..4,
+            mtry in 0usize..7,
+        ) {
+            let (x, y, _) = reference::problem(seed, rows, cols);
+            let cfg = RandomForestConfig {
+                n_trees,
+                max_depth,
+                min_samples_leaf,
+                n_features_per_split: (mtry > 0).then_some(mtry),
+                seed,
+                n_threads,
+            };
+            let slow = RandomForest::fit_trees(&x, &y, &cfg, |indices, tree_cfg, rng| {
+                reference::fit(&x, &y, indices, tree_cfg, rng)
+            });
+            proptest::prop_assert_eq!(RandomForest::fit(&x, &y, &cfg).to_bytes(), slow.to_bytes());
+        }
     }
 
     #[test]

@@ -156,9 +156,12 @@ impl Parser<'_> {
                     self.i += 1;
                     match self.peek() {
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .b
                                 .get(self.i + 1..self.i + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
@@ -279,6 +282,25 @@ mod tests {
     }
 
     #[test]
+    fn large_integral_floats_render_as_floats() {
+        for (v, text) in [(1e15, "1e15"), (2.5e18, "2.5e18"), (1e20, "1e20"), (-1e300, "-1e300")] {
+            let n = Value::Number(Number::F(v));
+            assert_eq!(n.render_json(None), text);
+            assert_eq!(parse_value(text).unwrap(), n, "{text}");
+        }
+        // Below the cut-over, integral floats keep their `.0`.
+        assert_eq!(Value::Number(Number::F(999_999_999_999_999.0)).render_json(None), "999999999999999.0");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse_value(r#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04g1""#, r#""\u041""#] {
+            assert!(parse_value(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
     fn nesting_is_bounded() {
         let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
@@ -313,11 +335,10 @@ mod tests {
         ix.into_iter().map(|i| JSONISH[i % JSONISH.len()]).collect()
     }
 
-    /// A finite float that renders with a `.` or an exponent, so it reads
-    /// back as a float.
+    /// Any finite float.
     fn float(n: u64) -> f64 {
         let v = f64::from_bits(n);
-        if v.is_finite() && v.abs() < 1e15 { v } else { (n % 1_000_003) as f64 / 64.0 }
+        if v.is_finite() { v } else { (n % 1_000_003) as f64 / 64.0 }
     }
 
     fn scalar(op: u8, n: u64, s: &str) -> Value {
