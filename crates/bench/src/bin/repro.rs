@@ -81,8 +81,9 @@ SUBCOMMANDS:
                  aggregates (Fleiss kappa, Welch t-tests) under
                  results/analysis/ and the efficiency numbers (shared vs
                  unique jobs, measured speedup with --baseline) to
-                 results/bench_sweep.json; journaled under the grid
-                 digest, so an interrupted sweep resumes mid-DAG
+                 results/bench_sweep.json; every variant is saved to the
+                 checkpoint store as it is assembled, so a rerun or an
+                 interrupted sweep reads what is there and runs the rest
                    --grid SPEC    the grid, `key=v1,v2;key=...` over keys
                                   seeds / scales / scenarios / paradigms
                                   (sup|ft|icl|all) / oracles / model /
@@ -96,12 +97,13 @@ SUBCOMMANDS:
                                   assert row byte-identity
   runs           query the run index (results/runs/index.jsonl):
                    runs [list]        latest manifest per run, newest first
-                                      (columns include the journal's jobs
-                                      appended + replayed counts, and
-                                      resumed runs are marked)
+                                      (columns: jobs the journal appended,
+                                      and targets replayed, i.e. read from
+                                      the checkpoint store; resumed runs
+                                      are marked)
                    runs show ID       one manifest in full (unique prefixes
                                       ok) — jobs_run / jobs_replayed /
-                                      resume rows are the journal stats
+                                      resume rows are those same counts
                    runs diff ID ID    field-by-field manifest comparison,
                                       including per-artifact checksums
 
@@ -114,10 +116,12 @@ OPTIONS:
                  artifacts are byte-identical at any thread count
   --out DIR      also write one JSON file per artifact into DIR
   --md FILE      also write a combined Markdown report
-  --cache-dir DIR  persistent checkpoint store for trained providers and
-                 derived results (default results/ckpt); a warm cache only
-                 changes wall time, never artifact bytes
-  --cold         ignore existing checkpoints: retrain and overwrite them
+  --cache-dir DIR  persistent checkpoint store for trained providers,
+                 derived results and assembled artifacts (default
+                 results/ckpt); a warm cache only changes wall time, never
+                 artifact bytes
+  --cold         ignore existing checkpoints: retrain, reassemble and
+                 overwrite them
   --cache-cap BYTES  after the run, evict oldest checkpoints until the
                  store fits under BYTES
   --quant        bench-query only: add the int8-quantized query legs
@@ -133,10 +137,12 @@ OPTIONS:
                  (default 10000)
   --interval-ms N  serve-top: polling interval (default 1000)
   --samples N    serve-top: frames to render; 0 = until daemon exit
-  --runs-dir DIR run-journal root (default results/runs); artifact runs
-                 journal every completed job there and resume mid-DAG
-                 after an interruption, byte-identically
-  --no-journal   disable the run journal for this artifact run
+  --runs-dir DIR run-journal root (default results/runs); runs journal
+                 every completed job there, and a rerun after an
+                 interruption is marked resumed (what any run skips is
+                 what the checkpoint store holds, to identical bytes)
+  --no-journal   disable the run journal for this run (the checkpoint
+                 store is still read and written)
   --trace FILE   write a Chrome trace-event timeline of the run
   --metrics      write results/run_meta.json (manifest + counters + series)
   --profile      print per-span wall-time statistics to stdout
@@ -145,14 +151,8 @@ OPTIONS:
 
 FAULT INJECTION:
   KCB_FAULT=abort_after_job:N   abort the process after the Nth journaled
-                 job of this run — the crash used by the CI resume test;
-                 rerunning the same command resumes from the journal
-
-LIVE TELEMETRY:
-  KCB_LIVE=off   serve / serve-bench: disable per-request timing (latency
-                 histograms + flight recorder) to measure the telemetry
-                 plane's own overhead; counters, gauges and admission
-                 control stay on";
+                 job of this run — the crash used by the resume tests;
+                 rerunning the same command resumes";
 
 /// Re-execs the binary once with glibc's allocator tuned for the autograd
 /// workload. Each training step builds and tears down a multi-megabyte
@@ -639,9 +639,9 @@ fn main() -> ExitCode {
 
     let threads = args.threads.unwrap_or_else(kcb_lm::pool::threads);
     let (scale, seed) = (cfg.scale, cfg.seed);
-    // Trained providers and derived results persist across runs in a
-    // content-addressed store; a stale or corrupt entry falls back to
-    // retraining, so the cache is purely a wall-clock knob.
+    // Trained providers, derived results and assembled artifacts persist
+    // across runs in a content-addressed store; a stale or corrupt entry
+    // falls back to recomputing, so the cache is purely a wall-clock knob.
     let cache_dir = args.cache_dir.clone().unwrap_or_else(|| Path::new("results").join("ckpt"));
     let store = if args.cold { CkptStore::cold(cache_dir) } else { CkptStore::open(cache_dir) };
     let ctx = RunCtx {
@@ -728,7 +728,6 @@ fn main() -> ExitCode {
         // Counters keep moving until the drain finishes inside wait(),
         // which consumes the server — clone the handles that must report
         // post-drain values.
-        let live_timing = server.metrics().timing();
         let uptime_s = server.metrics().uptime_s();
         let verb_counts = server.metrics().verb_counts();
         let errors_h = std::sync::Arc::clone(&server.metrics().errors);
@@ -763,7 +762,6 @@ fn main() -> ExitCode {
                 "shed": stats.shed,
                 "errors": errors,
                 "uptime_s": uptime_s,
-                "live_timing": live_timing,
                 "verbs": verbs,
                 "e2e": e2e_json,
             });
@@ -872,8 +870,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     // Run journal: every completed job is appended (fsynced) under
-    // results/runs/<config-digest>/, so a killed run resumes mid-DAG on
-    // the next invocation with byte-identical artifacts.
+    // results/runs/<config-digest>/; each assembly has saved its artifact
+    // to the store by then, so a killed run's next invocation reads what
+    // it finished and assembles the rest, to byte-identical artifacts.
     let run = match JournaledRun::start(&ctx, "artifacts", lab.config_digest(), ids.clone()) {
         Ok(run) => run,
         Err(code) => return code,
@@ -883,9 +882,6 @@ fn main() -> ExitCode {
     // and are byte-identical at any worker count.
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let (artifacts, report) = run_scheduled_with(&lab, &id_refs, threads, run.spec().as_ref());
-    // Persist the derived results computed since the last save, so the
-    // next run reads them back.
-    lab.save_checkpoints();
     run.after_run(&report);
     eprintln!(
         "# checkpoints: {} hits, {} misses ({})",

@@ -29,10 +29,10 @@ use serde_json::{json, Value};
 /// subcommands added alongside `results/bench_serve.json`.
 ///
 /// v5: a top-level `journal` group records what the run journal did —
-/// `enabled`, records `appended` (fsynced this run), jobs `replayed`
-/// from an interrupted run, whether this was a `resume`, and
-/// damaged-suffix `warnings` — matching the journaled/resumable runs
-/// under `results/runs/`.
+/// `enabled`, records `appended` (fsynced this run), targets `replayed`
+/// (read from the checkpoint store instead of assembled, with or without
+/// a journal), whether this was a `resume`, and damaged-suffix
+/// `warnings` — matching the journaled runs under `results/runs/`.
 ///
 /// v6: a top-level `serve` group (null outside serving modes) carries
 /// the live-telemetry summary of a `serve` / `serve-bench` run: request
@@ -42,7 +42,7 @@ use serde_json::{json, Value};
 /// v7: `manifest.mode` gained `"sweep"`, and a top-level `sweep` group
 /// (null outside sweep mode) summarises the variant grid: the normalised
 /// grid spec, variant / lab counts, total vs shared vs unique job counts
-/// from the dedup plan, journal-replayed variants, and — when
+/// from the dedup plan, variants read from the store, and — when
 /// `--baseline` measured K sequential runs — the speedup ratio.
 pub const SCHEMA_VERSION: u64 = 7;
 

@@ -1,15 +1,20 @@
 //! The warm-cache contract, driven through the built `repro` binary.
 //!
 //! A cold `repro table4 tableA6 --fast --metrics` fills a checkpoint
-//! store; a warm rerun in the same workspace must
+//! store; a warm rerun in the same workspace, journaled and then with
+//! `--no-journal`, must
 //!
 //! * write `--out` JSON byte-identical to the cold run's;
 //! * serve every checkpoint lookup from the store (`cache.ckpt_misses`
 //!   is 0 and every `checkpoints` event is a hit);
 //! * skip at least one provider job by freshness probe;
-//! * neither read nor rewrite a derived-result entry: the journal replays
-//!   both artifacts, so no `derived` lookup happens and every
-//!   `derived-*.ckpt` keeps its bytes and its mtime.
+//! * neither read nor rewrite a derived-result entry: both artifacts are
+//!   read from their store entries, so no `derived` lookup happens and
+//!   every `derived-*.ckpt` keeps its bytes and its mtime.
+//!
+//! A flipped byte in an artifact entry then costs one warning naming the
+//! file; the target is reassembled to the same bytes, the entry is
+//! rewritten, and the run after that hits it again.
 //!
 //! The cold leg also records `--trace` and `--profile`, and its trace and
 //! `run_meta.json` must have the telemetry shape `repro` documents: the
@@ -25,8 +30,8 @@ use std::time::{Duration, SystemTime};
 
 /// Runs `repro table4 tableA6 --fast --metrics` with its working, cache,
 /// runs and `--out` directories under `root`, and returns the run's
-/// `results/run_meta.json`.
-fn repro(root: &Path, out: &str, extra: &[&str]) -> Value {
+/// `results/run_meta.json` and its stderr.
+fn repro(root: &Path, out: &str, extra: &[&str]) -> (Value, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
         .current_dir(root)
         .args(["table4", "tableA6", "--fast", "--metrics"])
@@ -46,7 +51,8 @@ fn repro(root: &Path, out: &str, extra: &[&str]) -> Value {
     );
     let text = std::fs::read_to_string(root.join("results").join("run_meta.json"))
         .expect("run_meta.json written");
-    parse_value(&text).expect("run_meta.json parses")
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    (parse_value(&text).expect("run_meta.json parses"), stderr)
 }
 
 /// Every file directly under `dir`, by name.
@@ -61,12 +67,21 @@ fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
-/// Bytes and mtime of every derived-result entry in the store.
-fn derived_entries(cache: &Path) -> BTreeMap<PathBuf, (Vec<u8>, SystemTime)> {
-    std::fs::read_dir(cache)
+/// The store's entries whose file name starts with `prefix`, sorted.
+fn entries(cache: &Path, prefix: &str) -> Vec<PathBuf> {
+    let mut v: Vec<PathBuf> = std::fs::read_dir(cache)
         .expect("store exists")
         .map(|e| e.expect("entry").path())
-        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("derived-"))
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(prefix))
+        .collect();
+    v.sort();
+    v
+}
+
+/// Bytes and mtime of every derived-result entry in the store.
+fn derived_entries(cache: &Path) -> BTreeMap<PathBuf, (Vec<u8>, SystemTime)> {
+    entries(cache, "derived-")
+        .into_iter()
         .map(|p| {
             let mtime = std::fs::metadata(&p).and_then(|m| m.modified()).expect("mtime");
             (p.clone(), (std::fs::read(&p).expect("read"), mtime))
@@ -135,7 +150,7 @@ fn assert_warm(meta: &Value, leg: &str) {
     for e in events {
         let provider = e["provider"].as_str().expect("provider");
         assert_eq!(e["hit"].as_bool(), Some(true), "{leg}: {provider} missed");
-        assert_ne!(provider, "derived", "{leg}: a replayed run looked up a derived result");
+        assert_ne!(provider, "derived", "{leg}: a warm run looked up a derived result");
     }
     assert_eq!(meta["cache"]["ckpt_misses"].as_u64(), Some(0), "{leg}: {:?}", meta["cache"]);
     let skips = meta["cache"]["provider_skips"].as_u64().expect("provider_skips");
@@ -149,7 +164,7 @@ fn warm_reruns_hit_every_checkpoint_and_repeat_the_bytes() {
     std::fs::create_dir_all(&root).expect("temp root");
 
     let trace = root.join("trace.json");
-    let cold = repro(&root, "out-cold", &["--trace", trace.to_str().unwrap(), "--profile"]);
+    let (cold, _) = repro(&root, "out-cold", &["--trace", trace.to_str().unwrap(), "--profile"]);
     let trace = std::fs::read_to_string(&trace).expect("trace written");
     assert_telemetry(&parse_value(&trace).expect("trace parses"), &cold);
     let cold_derived = cold["checkpoints"]
@@ -169,16 +184,45 @@ fn warm_reruns_hit_every_checkpoint_and_repeat_the_bytes() {
     let before = derived_entries(&root.join("cache"));
     assert_eq!(before.len(), cold_derived, "one entry per derived result");
 
-    let warm = repro(&root, "out-warm", &[]);
-    assert_warm(&warm, "warm");
-
     let reference = files(&root.join("out-cold"));
     assert!(!reference.is_empty(), "the cold run wrote no artifacts");
-    assert_eq!(files(&root.join("out-warm")), reference, "out-warm differs from out-cold");
-    assert_eq!(
-        derived_entries(&root.join("cache")),
-        before,
-        "a warm rerun must leave every derived entry byte- and mtime-identical"
+    for (leg, extra) in [("warm", &[][..]), ("no-journal", &["--no-journal"][..])] {
+        let (warm, _) = repro(&root, &format!("out-{leg}"), extra);
+        assert_warm(&warm, leg);
+        let out = files(&root.join(format!("out-{leg}")));
+        assert_eq!(out, reference, "out-{leg} differs from out-cold");
+        assert_eq!(
+            derived_entries(&root.join("cache")),
+            before,
+            "{leg}: a warm rerun must leave every derived entry byte- and mtime-identical"
+        );
+    }
+
+    // Corrupt one artifact entry: one warning naming it, the target is
+    // reassembled to the same bytes and the entry rewritten as it was.
+    let artifacts = entries(&root.join("cache"), "artifact-");
+    assert_eq!(artifacts.len(), reference.len(), "one entry per artifact");
+    let entry = &artifacts[0];
+    let good = std::fs::read(entry).expect("read entry");
+    let mut bad = good.clone();
+    bad[good.len() / 2] ^= 0x01;
+    std::fs::write(entry, &bad).expect("corrupt entry");
+    let (_, stderr) = repro(&root, "out-repair", &[]);
+    let warnings: Vec<&str> = stderr.lines().filter(|l| l.contains("warning")).collect();
+    assert_eq!(warnings.len(), 1, "one warning for one corrupt entry:\n{stderr}");
+    assert!(warnings[0].contains(&entry.display().to_string()), "{}", warnings[0]);
+    assert_eq!(files(&root.join("out-repair")), reference, "out-repair differs from out-cold");
+    assert!(std::fs::read(entry).expect("read entry") == good, "the entry was not rewritten");
+
+    let (rehit, _) = repro(&root, "out-rehit", &[]);
+    assert_warm(&rehit, "rehit");
+    let key = entry.file_stem().unwrap().to_string_lossy().replace("artifact-", "");
+    assert!(
+        rehit["checkpoints"].as_array().expect("checkpoints list").iter().any(|e| {
+            e["provider"].as_str() == Some("artifact") && e["key"].as_str() == Some(key.as_str())
+        }),
+        "the repaired entry was not read"
     );
+    assert_eq!(files(&root.join("out-rehit")), reference, "out-rehit differs from out-cold");
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -31,6 +31,13 @@
 //! * **Derived results** — every memoised score or row, forest run and
 //!   LSTM run is its own `derived-<key16>.ckpt` entry, read on first use
 //!   and written once, by the lab's result table.
+//! * **Artifacts** — every assembled table, figure or sweep variant is an
+//!   `artifact-<key16>.ckpt` entry holding its compact replay JSON, keyed
+//!   like a derived result by the config fingerprint and a target key.
+//!   The executor probes it when it builds a run's graph: a fresh entry is
+//!   read in place of scheduling the target's cells and assembly, which is
+//!   how a warm or resumed run skips work. Bump [`SCHEMA_DERIVED`] when a
+//!   runner's output bytes change.
 //! * **Fallback** — a missing, truncated, corrupt or foreign checkpoint is
 //!   treated as a miss: one warning line on stderr, then the artifact
 //!   retrains exactly as if the cache were empty. The store can slow a run
@@ -63,7 +70,7 @@ pub const SCHEMA_WORDPIECE: u32 = 1;
 pub const SCHEMA_BERT: u32 = 1;
 /// Schema version of the BioGPT-mini weight checkpoint.
 pub const SCHEMA_BIOGPT: u32 = 1;
-/// Schema version of the derived-result entries.
+/// Schema version of the derived-result and artifact entries.
 pub const SCHEMA_DERIVED: u32 = 3;
 
 /// Minimum file age before [`CkptStore::gc`] may evict: anything younger
@@ -238,7 +245,7 @@ impl CkptStore {
             }
             Err(e) => {
                 eprintln!(
-                    "warning: checkpoint {} unusable ({e}); retraining {provider}",
+                    "warning: checkpoint {} unusable ({e}); recomputing {provider}",
                     path.display()
                 );
                 self.record(provider, key, false, len);
@@ -518,6 +525,13 @@ pub(crate) enum DerivedKind {
 /// (thread knobs normalised out), the result kind and the memo key.
 pub(crate) fn derived_key(config_fp: &str, kind: DerivedKind, key: &str) -> String {
     digest_key(SCHEMA_DERIVED, &[config_fp, &format!("{kind:?}"), key])
+}
+
+/// Content key of one artifact entry: the schema, the config fingerprint
+/// and the target key (a lower-cased artifact id, or every field of a
+/// sweep variant).
+pub(crate) fn artifact_key(config_fp: &str, target: &str) -> String {
+    digest_key(SCHEMA_DERIVED, &[config_fp, "Artifact", target])
 }
 
 impl Derived {

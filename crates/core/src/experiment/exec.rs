@@ -3,12 +3,12 @@
 //! Both paths lower their request to the same shape: one or more labs,
 //! each with a label prefix and a [`ProviderNeed`], and one [`Target`]
 //! per artifact or sweep variant. [`execute`] alone owns what follows —
-//! journal open and replay, replay-or-assemble for every target, the
-//! completion hook that appends one fsync'd record per executed job, the
-//! scheduler run, and the [`PlanReport`] summed over labs.
-//! [`super::plan::run_scheduled_with`] is the one-lab lowering (artifact
-//! ids through `Cells::deps_for`); [`super::sweep::run_sweep`] groups
-//! variants into labs and lowers each variant to its cells.
+//! journal open, read-or-assemble for every target against the
+//! checkpoint store, the completion hook that appends one fsync'd record
+//! per executed job, the scheduler run, and the [`PlanReport`] summed
+//! over labs. [`super::plan::run_scheduled_with`] is the one-lab lowering
+//! (artifact ids through `Cells::deps_for`); [`super::sweep::run_sweep`]
+//! groups variants into labs and lowers each variant to its cells.
 
 use super::plan::{
     providers, Cells, JournalSpec, JournalStats, PlanReport, Provenance, ProviderNeed,
@@ -21,7 +21,6 @@ use crate::report::Artifact;
 use crate::sched::{Graph, JobDone, JobId};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::rc::Rc;
 use std::sync::Mutex;
 
@@ -45,8 +44,11 @@ pub(crate) type AssembleFn = Box<dyn FnOnce(&Lab) -> Option<Artifact>>;
 /// One graph target: an artifact id or a sweep variant, journaled as
 /// `artifact:<id>`.
 pub(crate) struct Target {
-    /// The artifact id: label suffix and replay payload name.
+    /// The artifact id: the label suffix.
     pub id: String,
+    /// What its artifact entry is keyed by within its lab's config: the
+    /// lower-cased artifact id, or every field of a sweep variant.
+    pub key: String,
     /// Index of the owning lab.
     pub lab: usize,
     /// Its cells and dependencies.
@@ -60,20 +62,22 @@ pub(crate) struct Executed {
     /// `(id, artifact)` in target order; targets that assembled nothing
     /// are left out.
     pub artifacts: Vec<(String, Artifact)>,
-    /// Labels satisfied from the journal instead of executed.
+    /// Labels of the targets read from the checkpoint store.
     pub replayed: HashSet<String>,
     /// Scheduler, caches and journal, summed over labs.
     pub report: PlanReport,
 }
 
 /// Builds one graph over `labs` (providers first, lab by lab, then each
-/// target's cells and assembly in target order) and runs it with
-/// `workers` threads. With a journal attached, completed jobs from an
-/// earlier run are marked satisfied at graph-build time — cells become
-/// no-ops, artifacts replay byte-for-byte from persisted payloads — and
-/// every job this run completes is appended to the journal, fsynced
-/// before its dependents can observe its result, so the next
-/// interruption loses at most the job in flight.
+/// target in target order) and runs it with `workers` threads. Each
+/// target's artifact entry is probed at graph-build time: a fresh one
+/// becomes a single dependency-free job that reads it, and any other
+/// target schedules its cells and then an assembly that saves the
+/// artifact and every result the lab computed. With a journal attached,
+/// every job this run executes is appended to it, fsynced before its
+/// dependents can observe its result, so the next interruption loses at
+/// most the job in flight, and every assembly the journal records is
+/// already in the store.
 pub(crate) fn execute(
     labs: &[LabPlan<'_>],
     targets: Vec<Target>,
@@ -82,14 +86,12 @@ pub(crate) fn execute(
 ) -> Executed {
     let (mut jstats, writer, replay) = open_journal(spec);
     let completed = replay.completed();
-    jstats.resume = !replay.records.is_empty()
-        && targets.iter().any(|t| !completed.contains(&format!("artifact:{}", t.id)));
 
-    // Digests of artifacts assembled *this* run, filled by the assembly
-    // closures (driver thread) and read by the completion hook right
-    // after — so the journal records each artifact's payload checksum.
+    // Filled by the target jobs (driver thread) and read by the completion
+    // hook right after each: the payload digest of every artifact
+    // assembled this run, and the labels read from the store instead.
     let digests: Mutex<HashMap<String, String>> = Mutex::default();
-    let mut replayed: HashSet<String> = HashSet::new();
+    let read: Mutex<HashSet<String>> = Mutex::default();
 
     let mut g = Graph::new();
     let mut provenance = Provenance::default();
@@ -105,70 +107,65 @@ pub(crate) fn execute(
         let label = format!("artifact:{}", t.id);
         let slot: Rc<RefCell<Option<Artifact>>> = Rc::default();
         let out = Rc::clone(&slot);
-        slots.push((t.id.clone(), slot));
+        slots.push((t.id, slot));
+        let (l, key, assemble) = (&labs[t.lab], t.key, t.assemble);
+        let lab = l.lab;
 
-        // Journal replay: an artifact whose assembly already committed is
-        // re-emitted from its persisted payload, verified against the
-        // journaled digest. Verification failure (deleted / corrupted
-        // payload) falls back to ordinary reassembly.
-        let replayed_artifact = spec.filter(|_| completed.contains(&label)).and_then(|s| {
-            replay.digest_of(&label).and_then(|want| load_artifact(&s.dir, &t.id, want))
-        });
-        if let Some(a) = replayed_artifact {
-            replayed.insert(label.clone());
-            let mut a = Some(a);
-            g.add_driver(label, &[], move || {
-                *out.borrow_mut() = a.take();
-            });
-            continue;
-        }
-
-        let l = &labs[t.lab];
-        let mut deps = (t.deps)(&mut Cells {
-            g: &mut g,
-            keyed: &mut keyed[t.lab],
-            lab: l.lab,
-            shared: l.lab.shared(),
-            prov: &provs[t.lab],
-            completed: &completed,
-            replayed: &mut replayed,
-            prefix: &l.prefix,
-            provenance: &mut provenance,
-            cfg_digest: &cfg_digests[t.lab],
-        });
+        // The store probe: a target whose entry is fresh is one
+        // dependency-free job that reads it; any other schedules its cells
+        // first. Either job assembles when there is nothing usable to read
+        // (an unusable entry costs one warning; the runners compute
+        // whatever no cell warmed, to the same bytes) and then saves.
+        let fresh = lab.artifact_fresh(&key);
+        // A run resumes when its journal holds records but neither the
+        // journal nor the store holds a target it asks for.
+        jstats.resume |= !fresh && !replay.records.is_empty() && !completed.contains(&label);
+        let mut deps = if fresh {
+            Vec::new()
+        } else {
+            (t.deps)(&mut Cells {
+                g: &mut g,
+                keyed: &mut keyed[t.lab],
+                lab,
+                shared: lab.shared(),
+                prov: &provs[t.lab],
+                prefix: &l.prefix,
+                provenance: &mut provenance,
+                cfg_digest: &cfg_digests[t.lab],
+            })
+        };
         deps.sort_unstable();
         deps.dedup();
         let dep_labels: Vec<String> = deps.iter().map(|&d| g.label_of(d).to_string()).collect();
         provenance.job(&label, &cfg_digests[t.lab], &dep_labels);
-        let (lab, id, assemble, digests) = (l.lab, t.id, t.assemble, &digests);
+        let (digests, read) = (&digests, &read);
         g.add_driver(label.clone(), &deps, move || {
-            let art = assemble(lab);
-            if let Some(s) = spec {
-                if let Some(a) = &art {
-                    match persist_artifact(&s.dir, &id, a) {
-                        Ok(fnv) => {
-                            digests.lock().expect("digest table").insert(label, fnv);
-                        }
-                        Err(e) => eprintln!("warning: artifact payload persist failed: {e}"),
-                    }
-                }
-                // Save the results computed since the last assembly, so a
-                // resumed run reads back what its no-op cells computed.
-                lab.save_checkpoints();
+            if let Some(a) = fresh.then(|| lab.read_artifact(&key)).flatten() {
+                read.lock().expect("read set").insert(label);
+                *out.borrow_mut() = Some(a);
+                return;
             }
+            let art = assemble(lab);
+            if let Some(a) = &art {
+                let fnv = lab.save_artifact(&key, a);
+                digests.lock().expect("digest table").insert(label, fnv);
+            }
+            // The results this assembly's cells computed, so a later run
+            // that must assemble a target sharing them reads them back.
+            lab.save_checkpoints();
             *out.borrow_mut() = art;
         });
     }
 
-    // The completion hook: journal every job executed this run (replayed
-    // no-ops are already in the journal) together with its input
-    // provenance, unless the journal already holds that exact record — a
-    // provider re-run over a finished journal — then give the injected
-    // fault a chance to kill the process at this exact boundary.
+    // The completion hook: journal every job executed this run together
+    // with its input provenance, unless it was a store read or the
+    // journal already holds that exact record — a rerun over a finished
+    // journal — then give the injected fault a chance to kill the process
+    // at this exact boundary.
     let provenance = provenance; // frozen: the hook only reads it
     let hook = |d: &JobDone<'_>| {
         let Some(w) = &writer else { return };
-        if replayed.contains(d.label) {
+        if read.lock().expect("read set").contains(d.label) {
             return;
         }
         let digest =
@@ -189,6 +186,7 @@ pub(crate) fn execute(
         .arg("workers", workers);
     let scheduler = g.run_hooked(workers, writer.is_some().then_some(&hook as _));
     run_span.end();
+    let replayed = read.into_inner().expect("read set");
     jstats.appended = writer.as_ref().map(journal::Writer::appended).unwrap_or(0);
     jstats.replayed = replayed.len() as u64;
 
@@ -239,37 +237,6 @@ fn open_journal(
         }
     };
     (jstats, writer, replay)
-}
-
-/// Persists one assembled artifact's replay payload under the run
-/// directory (tmp + rename, so a crash mid-write can never leave a
-/// payload that passes the digest check) and returns its FNV-64.
-fn persist_artifact(dir: &Path, id: &str, a: &Artifact) -> std::io::Result<String> {
-    let path = journal::artifact_path(dir, id);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let body = a.to_replay_json().render_json(None);
-    let fnv = kcb_util::fnv1a_hex(body.as_bytes());
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &body)?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(fnv)
-}
-
-/// Loads a persisted artifact payload when its bytes still match the
-/// journaled digest `want`; otherwise `None` (caller reassembles).
-fn load_artifact(dir: &Path, id: &str, want: &str) -> Option<Artifact> {
-    let path = journal::artifact_path(dir, id);
-    let text = std::fs::read_to_string(&path).ok()?;
-    if kcb_util::fnv1a_hex(text.as_bytes()) != want {
-        eprintln!(
-            "warning: journal replay: {} no longer matches its journaled digest; reassembling",
-            path.display()
-        );
-        return None;
-    }
-    Artifact::from_replay_json(&kcb_util::json::parse_value(&text).ok()?)
 }
 
 /// Publishes the run's cache counters to the telemetry recorder so they

@@ -22,13 +22,13 @@
 
 use super::exec::{execute, LabPlan, Target};
 use super::{scenarios, supervised};
-use crate::dataset::SCENARIOS;
+use crate::dataset::{Scenario, SCENARIOS};
 use crate::journal;
 use crate::lab::{Lab, Shared, EMBEDDING_NAMES};
 use crate::report::Artifact;
 use crate::sched::{Graph, JobId, RunReport};
 use crate::task::TaskKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// What a scheduled run did, for `results/run_meta.json`.
@@ -49,7 +49,8 @@ pub struct PlanReport {
     /// Persistent checkpoint lookups this run, in order (empty when the
     /// lab has no store attached).
     pub checkpoints: Vec<crate::ckpt::CkptEvent>,
-    /// What the run journal did (all zeros when journaling is off).
+    /// What the run journal did, plus the targets read from the store
+    /// (`replayed`, counted with or without a journal).
     pub journal: JournalStats,
 }
 
@@ -61,11 +62,13 @@ pub struct JournalStats {
     pub enabled: bool,
     /// Completion records appended (and fsynced) by this run.
     pub appended: u64,
-    /// Jobs satisfied from the journal instead of executed (no-op cells
-    /// plus artifacts replayed byte-for-byte from persisted payloads).
+    /// Targets read from the checkpoint store instead of assembled: an
+    /// artifact or sweep variant whose entry an earlier run saved, and
+    /// none of whose cells this run schedules.
     pub replayed: u64,
     /// Whether this run resumed an unfinished journal: it held records,
-    /// and at least one requested artifact had not committed.
+    /// and at least one requested artifact was neither committed in it
+    /// nor stored.
     pub resume: bool,
     /// Damaged-suffix warnings emitted while loading the journal.
     pub warnings: u64,
@@ -222,7 +225,7 @@ impl Providers {
 /// splits, embeddings and the LMs appear only when needed. The empty
 /// prefix reproduces the single-run graph byte-for-byte; the sweep
 /// compiler namespaces each lab's providers by a config-digest prefix so
-/// journal replay keys stay stable across resumes.
+/// journal labels stay stable across resumes.
 pub(crate) fn providers<'a>(
     g: &mut Graph<'a>,
     lab: &'a Lab,
@@ -377,11 +380,6 @@ pub(crate) struct Cells<'g, 'a> {
     pub lab: &'a Lab,
     pub shared: &'a Shared,
     pub prov: &'g Providers,
-    /// Labels the run journal already recorded as completed.
-    pub completed: &'g HashSet<String>,
-    /// Labels satisfied from the journal this run (fills as cells are
-    /// replaced by replay no-ops; the completion hook skips these).
-    pub replayed: &'g mut HashSet<String>,
     /// Label namespace (empty for single runs, `<digest8>/` per sweep lab).
     pub prefix: &'g str,
     /// Input-provenance collector for journal records.
@@ -396,25 +394,12 @@ impl<'a> Cells<'_, 'a> {
             return id;
         }
         let label = format!("cell:{}{key}", self.prefix);
-        // Journal replay: a cell that already committed in an earlier
-        // (interrupted) run becomes a dependency-free no-op. Cells only
-        // warm the memo caches — their values come back through the
-        // derived checkpoint, and any cold miss is recomputed inline by
-        // the assembly runner — so skipping them can never change bytes.
-        let id = if self.completed.contains(&label) {
-            self.replayed.insert(label.clone());
-            match f {
-                CellClosure::Par(_) => self.g.add_par(label, &[], || {}),
-                CellClosure::Driver(_) => self.g.add_driver(label, &[], || {}),
-            }
-        } else {
-            let dep_labels: Vec<String> =
-                deps.iter().map(|&d| self.g.label_of(d).to_string()).collect();
-            self.provenance.job(&label, self.cfg_digest, &dep_labels);
-            match f {
-                CellClosure::Par(f) => self.g.add_par(label, deps, f),
-                CellClosure::Driver(f) => self.g.add_driver(label, deps, f),
-            }
+        let dep_labels: Vec<String> =
+            deps.iter().map(|&d| self.g.label_of(d).to_string()).collect();
+        self.provenance.job(&label, self.cfg_digest, &dep_labels);
+        let id = match f {
+            CellClosure::Par(f) => self.g.add_par(label, deps, f),
+            CellClosure::Driver(f) => self.g.add_driver(label, deps, f),
         };
         self.keyed.insert(key, id);
         id
@@ -453,7 +438,7 @@ impl<'a> Cells<'_, 'a> {
         adapt: &'static str,
     ) -> JobId {
         let sc = SCENARIOS[sc_index];
-        let key = format!("rf|{}|{}|{}|{model}|{adapt}", task.number(), sc.split, sc.pos_ratio);
+        let key = rf_key(task, sc, model, adapt);
         if model == "pubmedbert" {
             let lab = self.lab;
             let deps = [self.prov.task(task.number() - 1), self.prov.bert()];
@@ -471,7 +456,7 @@ impl<'a> Cells<'_, 'a> {
 
     pub(crate) fn scenario_ft(&mut self, task: TaskKind, sc_index: usize) -> JobId {
         let sc = SCENARIOS[sc_index];
-        let key = format!("ft|{}|{}|{}", task.number(), sc.split, sc.pos_ratio);
+        let key = ft_key(task, sc);
         let lab = self.lab;
         let deps = [self.prov.task(task.number() - 1), self.prov.bert()];
         self.dedup(key, &deps, CellClosure::Driver(Box::new(move || {
@@ -485,7 +470,7 @@ impl<'a> Cells<'_, 'a> {
     /// one cell. Simulated oracles are pure `Send` state and fan out;
     /// BioGPT-mini needs the `!Send` checkpoint and stays on the driver.
     pub(crate) fn icl(&mut self, task: TaskKind, oracle: &'static str) -> JobId {
-        let key = format!("icl|{}|{oracle}", task.number());
+        let key = icl_key(task, oracle);
         if oracle == "biogpt-mini" {
             let lab = self.lab;
             let deps = [self.prov.task(task.number() - 1), self.prov.biogpt()];
@@ -659,6 +644,21 @@ impl<'a> Cells<'_, 'a> {
     }
 }
 
+/// Memo key of a §2.8 supervised scenario cell.
+pub(crate) fn rf_key(task: TaskKind, sc: Scenario, model: &str, adapt: &str) -> String {
+    format!("rf|{}|{}|{}|{model}|{adapt}", task.number(), sc.split, sc.pos_ratio)
+}
+
+/// Memo key of a §2.8 fine-tuning scenario cell.
+pub(crate) fn ft_key(task: TaskKind, sc: Scenario) -> String {
+    format!("ft|{}|{}|{}", task.number(), sc.split, sc.pos_ratio)
+}
+
+/// Memo key of an in-context-learning cell (scenario-independent).
+pub(crate) fn icl_key(task: TaskKind, oracle: &str) -> String {
+    format!("icl|{}|{oracle}", task.number())
+}
+
 enum CellClosure<'a> {
     Par(Box<dyn FnOnce() + Send + 'a>),
     Driver(Box<dyn FnOnce() + 'a>),
@@ -675,10 +675,11 @@ pub fn run_scheduled(
     run_scheduled_with(lab, ids, workers, None)
 }
 
-/// [`run_scheduled`] with an optional run journal attached (resumable
-/// mid-DAG; see `experiment::exec`). The one-lab lowering: every provider
-/// under the empty prefix, and one target per artifact id whose cells
-/// come from `Cells::deps_for` and whose assembly is [`super::run`].
+/// [`run_scheduled`] with an optional run journal attached (see
+/// `experiment::exec`). The one-lab lowering: every provider under the
+/// empty prefix, and one target per artifact id, keyed in the lab's
+/// checkpoint store by that id, whose cells come from `Cells::deps_for`
+/// and whose assembly is [`super::run`].
 pub fn run_scheduled_with(
     lab: &Lab,
     ids: &[&str],
@@ -692,6 +693,7 @@ pub fn run_scheduled_with(
             let id = id.to_ascii_lowercase();
             let (deps_id, run_id) = (id.clone(), id.clone());
             Target {
+                key: id.clone(),
                 id,
                 lab: 0,
                 deps: Box::new(move |cells| cells.deps_for(&deps_id)),

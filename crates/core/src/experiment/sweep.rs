@@ -21,7 +21,7 @@
 //! vs amortized seconds per variant).
 
 use super::exec::{execute, LabPlan, Target};
-use super::plan::{Cells, JournalSpec, PlanReport, ProviderNeed};
+use super::plan::{ft_key, icl_key, rf_key, Cells, JournalSpec, PlanReport, ProviderNeed};
 use super::{scenarios, supervised};
 use crate::dataset::SCENARIOS;
 use crate::lab::{Lab, LabConfig, EMBEDDING_NAMES};
@@ -388,19 +388,10 @@ impl Variant {
         let sc = SCENARIOS[self.scenario];
         TaskKind::ALL
             .iter()
-            .map(|t| match self.paradigm {
-                Paradigm::Supervised => format!(
-                    "rf|{}|{}|{}|{}|{}",
-                    t.number(),
-                    sc.split,
-                    sc.pos_ratio,
-                    self.model,
-                    self.adapt
-                ),
-                Paradigm::FineTune => format!("ft|{}|{}|{}", t.number(), sc.split, sc.pos_ratio),
-                Paradigm::Icl => {
-                    format!("icl|{}|{}", t.number(), self.oracle.unwrap_or("gpt-4-sim"))
-                }
+            .map(|&t| match self.paradigm {
+                Paradigm::Supervised => rf_key(t, sc, self.model, self.adapt),
+                Paradigm::FineTune => ft_key(t, sc),
+                Paradigm::Icl => icl_key(t, self.oracle.unwrap_or("gpt-4-sim")),
             })
             .collect()
     }
@@ -483,7 +474,7 @@ fn lab_groups(base: &LabConfig, variants: &[Variant]) -> Vec<(String, LabConfig,
 
 /// The label namespace for one sweep lab: the first 8 hex digits of its
 /// config digest plus `/`. Content-derived, so it is stable across
-/// resumes (journal replay matches) and across sweeps containing the same
+/// resumes (journal labels match) and across sweeps containing the same
 /// config.
 fn lab_prefix(cfg: &LabConfig) -> String {
     let mut digest = Lab::new(cfg.clone()).shared().config_digest();
@@ -646,8 +637,8 @@ fn variant_artifact(lab: &Lab, v: &Variant) -> Artifact {
     a
 }
 
-/// Parses the rows back out of a (possibly journal-replayed) variant
-/// artifact.
+/// Parses the rows back out of a variant artifact (assembled, or read
+/// from the store).
 fn rows_from_artifact(a: &Artifact) -> Option<Vec<TaskRow>> {
     let rows = a.json.get("rows")?.as_array()?;
     let mut out = Vec::with_capacity(rows.len());
@@ -677,7 +668,8 @@ pub struct VariantOutcome {
     pub scenario: usize,
     /// Per-task metric rows.
     pub rows: Vec<TaskRow>,
-    /// Whether the artifact replayed from the journal.
+    /// Whether the artifact was read from the checkpoint store instead
+    /// of assembled.
     pub replayed: bool,
     /// Jobs this variant references in the unified graph.
     pub jobs: usize,
@@ -817,6 +809,9 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
             let (cells_v, art_v) = (v.clone(), v.clone());
             Target {
                 id: v.id(),
+                // The id leaves out `model` and `adapt`; the entry key
+                // must not.
+                key: format!("{v:?}"),
                 lab,
                 deps: Box::new(move |cells| variant_cells(cells, &cells_v)),
                 assemble: Box::new(move |lab| Some(variant_artifact(lab, &art_v))),
@@ -824,17 +819,10 @@ pub fn run_sweep(base: &LabConfig, grid: &GridSpec, spec: &SweepSpec) -> SweepOu
         })
         .collect();
     let run = execute(&lab_plans, targets, spec.workers, spec.journal.as_ref());
-    // Unjournaled runs never saved during assembly; persist each lab's
-    // derived results once so the next sweep on this store replays them.
-    if spec.journal.is_none() {
-        for lab in &labs {
-            lab.save_checkpoints();
-        }
-    }
 
-    // Per-variant outcomes: rows parse back out of the artifact (replayed
-    // ones byte-for-byte), cost attribution splits measured job seconds
-    // by the plan's reference counts.
+    // Per-variant outcomes: rows parse back out of the artifact (ones read
+    // from the store byte-for-byte), cost attribution splits measured job
+    // seconds by the plan's reference counts.
     let report = run.report;
     let seconds: HashMap<&str, f64> =
         report.scheduler.jobs.iter().map(|j| (j.label.as_str(), j.seconds)).collect();
@@ -1210,11 +1198,44 @@ mod tests {
         let cold = run();
         assert!(cold.report.cache.memo_misses > 0);
         let warm = run();
-        assert_eq!(warm.report.cache.memo_misses, 0, "second unjournaled sweep recomputed");
-        for (c, w) in cold.variants.iter().zip(&warm.variants) {
+        assert!(warm.variants.iter().all(|v| v.replayed), "every variant entry was saved");
+        // Without the variant entries, the derived results saved by the
+        // unjournaled assemblies still spare every recompute.
+        for e in std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()) {
+            if e.file_name().unwrap().to_string_lossy().starts_with("artifact-") {
+                std::fs::remove_file(e).unwrap();
+            }
+        }
+        let reassembled = run();
+        assert_eq!(reassembled.report.cache.memo_misses, 0, "second unjournaled sweep recomputed");
+        for ((c, w), r) in cold.variants.iter().zip(&warm.variants).zip(&reassembled.variants) {
             assert_eq!(c.rows, w.rows);
+            assert_eq!(c.rows, r.rows);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn variant_entries_are_keyed_by_model() {
+        // Two grids that differ only in `model`: their variant ids
+        // coincide, so an entry keyed by the id would hand the first
+        // sweep's rows to the second.
+        let root = std::env::temp_dir().join(format!("kcb-sweep-model-key-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let run = |store: &str, model: &str| {
+            let spec = format!("seeds=7;scenarios=0;paradigms=sup;adapt=naive;model={model}");
+            let store = Arc::new(crate::ckpt::CkptStore::open(root.join(store)));
+            let g = GridSpec::parse(&spec).unwrap();
+            run_sweep(&tiny(), &g, &SweepSpec { workers: 1, journal: None, store: Some(store) })
+        };
+        let first = run("shared", "random");
+        let second = run("shared", "glove");
+        let fresh = run("fresh", "glove");
+        assert_eq!(first.variants[0].id, second.variants[0].id);
+        assert!(!second.variants[0].replayed, "the glove variant read the random one's entry");
+        assert_eq!(second.variants[0].rows, fresh.variants[0].rows);
+        assert_ne!(second.variants[0].rows, first.variants[0].rows);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

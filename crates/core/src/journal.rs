@@ -3,24 +3,26 @@
 //! Every scheduled run owns a directory `results/runs/<config-digest>/`
 //! holding a line-framed `journal.jsonl`: after each provider / cell /
 //! artifact job commits, the scheduler's completion hook appends one
-//! checksummed [`JobRecord`] and fsyncs the line. A crash — OOM, SIGKILL,
-//! power loss, `KCB_FAULT` — can therefore lose at most a torn final
-//! line, and the framing detects and drops it on replay, never trusting
-//! it. On the next run, [`load`] replays the journal and
-//! `experiment::plan` marks already-completed jobs as satisfied, so an
-//! interrupted `repro all` resumes mid-DAG: cells become no-ops (their
-//! memoised outputs come back through the derived checkpoint that
-//! assembly jobs persist incrementally), and assembled artifacts are
-//! replayed byte-for-byte from `artifacts/<slug>.json`, each one verified
-//! against the FNV-64 digest journaled at commit time.
+//! checksummed [`JobRecord`] with its input provenance and fsyncs the
+//! line. A crash — OOM, SIGKILL, power loss, `KCB_FAULT` — can therefore
+//! lose at most a torn final line, and the framing detects and drops it
+//! on load, never trusting it.
+//!
+//! The journal records; it does not decide what a rerun skips. Every
+//! assembly saves its artifact and the results its cells computed to the
+//! checkpoint store before its record is appended, and the next run reads
+//! whatever the store holds ([`crate::experiment::exec`]). What [`load`]
+//! feeds back is the resume flag (the journal holds records but not every
+//! requested artifact) and [`Replay::holds`], which keeps a rerun from
+//! appending a record the journal already has.
 //!
 //! Record framing: each line is `{"rec":<body>,"fnv":"<hex>"}` where
 //! `<hex>` is the FNV-64 of the rendered `<body>` text. Verification
 //! re-renders the parsed body through the same writer — the parser
 //! ([`kcb_util::json`]) is the exact inverse of the renderer, so any bit
 //! flip that changes the record's meaning changes the re-rendered bytes
-//! and fails the check. Replay stops at the first damaged record and
-//! re-executes only that suffix, with one warning.
+//! and fails the check. Loading stops at the first damaged record, with
+//! one warning.
 //!
 //! The run **index** (`results/runs/index.jsonl`, same framing) gets one
 //! manifest appended when a run starts (`outcome: "running"`) and one
@@ -31,7 +33,7 @@
 //! Fault injection: [`FaultPlan`] (from `KCB_FAULT=abort_after_job:N`, or
 //! injected directly in tests as `panic_after_job:N`) kills the run at an
 //! exact job boundary — after the Nth record of this run is journaled and
-//! fsynced — which is how the resume path is proven in CI rather than
+//! fsynced — which is how the resume path is proven by tests rather than
 //! assumed.
 
 use kcb_util::fnv1a_hex;
@@ -60,9 +62,9 @@ pub struct JobRecord {
     pub label: String,
     /// `"par"` or `"driver"`.
     pub kind: String,
-    /// FNV-64 hex digest of the job's durable output (the persisted
-    /// artifact payload for assembly jobs; empty for warm-up jobs whose
-    /// only output is an in-memory cache).
+    /// FNV-64 hex digest of the job's durable output (the compact replay
+    /// JSON an assembly saves as its artifact entry; empty for provider
+    /// and cell jobs).
     pub digest: String,
     /// Wall-clock seconds inside the job closure.
     pub seconds: f64,
@@ -163,16 +165,6 @@ pub fn journal_path(dir: &Path) -> PathBuf {
     dir.join("journal.jsonl")
 }
 
-/// Path of a persisted artifact replay payload inside a run directory.
-pub fn artifact_path(dir: &Path, id: &str) -> PathBuf {
-    let slug: String = id
-        .to_lowercase()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    dir.join("artifacts").join(format!("{slug}.json"))
-}
-
 /// What replaying a journal found.
 #[derive(Debug, Clone, Default)]
 pub struct Replay {
@@ -190,18 +182,9 @@ impl Replay {
         self.records.iter().map(|r| r.label.clone()).collect()
     }
 
-    /// The journaled output digest for a label, if any.
-    pub fn digest_of(&self, label: &str) -> Option<&str> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.label == label)
-            .map(|r| r.digest.as_str())
-    }
-
     /// Whether a record of `label` with this output digest and these
     /// inputs is already journaled — appending it again would add
-    /// nothing a later replay could use.
+    /// nothing the journal does not already say.
     pub fn holds(&self, label: &str, digest: &str, inputs: &[String]) -> bool {
         self.records.iter().any(|r| r.label == label && r.digest == digest && r.inputs == inputs)
     }
@@ -209,8 +192,8 @@ impl Replay {
 
 /// Loads and verifies a journal file. A missing file is an empty replay.
 /// Reading stops at the first damaged record: a crash can only tear the
-/// tail, so everything after the first bad line is untrusted and the run
-/// falls back to re-executing exactly that suffix.
+/// tail, so everything after the first bad line is untrusted, and its
+/// jobs are journaled again when they next run.
 pub fn load(path: &Path) -> Replay {
     let Ok(bytes) = std::fs::read(path) else { return Replay::default() };
     let mut out = Replay::default();
@@ -426,13 +409,13 @@ pub struct RunManifest {
     pub outcome: String,
     /// Scheduler jobs executed this run (0 in the start record).
     pub jobs_run: u64,
-    /// Jobs satisfied from the journal instead of executed.
+    /// Targets read from the checkpoint store instead of assembled.
     pub jobs_replayed: u64,
     /// Whether this run resumed an interrupted journal.
     pub resume: bool,
     /// End-to-end wall seconds (0 in the start record).
     pub wall_s: f64,
-    /// `(artifact id, FNV-64 hex of its persisted payload)` per assembled
+    /// `(artifact id, FNV-64 hex of its compact replay JSON)` per
     /// artifact, in request order.
     pub artifacts: Vec<(String, String)>,
 }
@@ -726,7 +709,7 @@ mod tests {
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[1].seq, 1);
         assert_eq!(replay.records[0].inputs, inputs);
-        assert_eq!(replay.digest_of("artifact:table2"), Some("abcd"));
+        assert_eq!(replay.records[1].digest, "abcd");
         // A resumed writer continues the sequence.
         let w2 = Writer::open(&path, replay.records.len() as u64).unwrap();
         w2.append("artifact:fig3", "driver", "ef", 0.1, 0, &[]);

@@ -27,6 +27,7 @@ use crate::adapt::{task_oriented_stopwords, Adaptation, TaskOrientedConfig};
 use crate::ckpt::{self, CkptStore, Derived, DerivedKind};
 use crate::dataset::Split;
 use crate::paradigm::ml::{run_lstm, ForestRun, LstmRun};
+use crate::report::Artifact;
 use crate::task::{positive_triples, TaskDataset, TaskKind};
 use kcb_embed::{
     fasttext, glove, word2vec, EmbeddingModel, EmbeddingTable, FastText, RandomEmbedding,
@@ -446,6 +447,37 @@ impl Shared {
         for (key, v) in unsaved {
             store.put("derived", &key, &v.to_bytes(), &[]);
         }
+    }
+
+    /// Whether `target`'s artifact entry is in the store: a probe like
+    /// [`Shared::provider_fresh`], with no read and no event.
+    pub(crate) fn artifact_fresh(&self, target: &str) -> bool {
+        let key = ckpt::artifact_key(&self.config_fp, target);
+        self.ckpt.as_deref().is_some_and(|s| s.is_fresh("artifact", &key))
+    }
+
+    /// Reads `target`'s artifact entry. `None` without a store, and after
+    /// the store's one warning for an entry it cannot use.
+    pub(crate) fn read_artifact(&self, target: &str) -> Option<Artifact> {
+        let key = ckpt::artifact_key(&self.config_fp, target);
+        self.ckpt.as_deref()?.take("artifact", &key, |meta, _| {
+            let bad = |m: &str| kcb_util::Error::parse("artifact entry", m);
+            let text = std::str::from_utf8(meta).map_err(|_| bad("payload is not UTF-8"))?;
+            let v = kcb_util::json::parse_value(text).map_err(|e| bad(&e))?;
+            Artifact::from_replay_json(&v).ok_or_else(|| bad("payload is not an artifact"))
+        })
+    }
+
+    /// Writes `a` as `target`'s artifact entry (no-op without a store) and
+    /// returns the FNV-64 of its compact replay JSON, the digest its
+    /// journal record carries.
+    pub(crate) fn save_artifact(&self, target: &str, a: &Artifact) -> String {
+        let body = a.to_replay_json().render_json(None);
+        if let Some(store) = self.ckpt.as_deref() {
+            let key = ckpt::artifact_key(&self.config_fp, target);
+            store.put("artifact", &key, body.as_bytes(), &[]);
+        }
+        kcb_util::fnv1a_hex(body.as_bytes())
     }
 
     /// The configuration.
@@ -944,40 +976,28 @@ impl Lab {
         Arc::clone(&self.shared)
     }
 
-    /// Content key of the mini-BERT checkpoint. Forces the (cheap,
-    /// checkpointed) WordPiece vocabulary: its size fixes the architecture.
-    fn bert_ckpt_key(&self) -> (TransformerConfig, String) {
-        let arch = TransformerConfig {
-            vocab_size: self.wordpiece().vocab_size(),
-            ..self.shared.cfg.bert_arch
+    /// Content key of a language-model checkpoint (`"lm-bert"` or
+    /// `"lm-biogpt"`) and the architecture it trains: the schema, the
+    /// architecture template sized to the WordPiece vocabulary, the
+    /// pretraining schedule and cap, and the WordPiece and domain-corpus
+    /// determinants. Forces the (cheap, checkpointed) WordPiece
+    /// vocabulary, whose size fixes the architecture.
+    fn lm_ckpt_key(&self, name: &str) -> (TransformerConfig, String) {
+        let cfg = &self.shared.cfg;
+        let (schema, template, pretrain, cap) = match name {
+            "lm-bert" => (ckpt::SCHEMA_BERT, cfg.bert_arch, &cfg.bert_pretrain, cfg.bert_pretrain_cap),
+            "lm-biogpt" => (ckpt::SCHEMA_BIOGPT, cfg.gpt_arch, &cfg.gpt_pretrain, cfg.gpt_pretrain_cap),
+            other => unreachable!("no language model named {other}"),
         };
+        let arch = TransformerConfig { vocab_size: self.wordpiece().vocab_size(), ..template };
         let key = ckpt::digest_key(
-            ckpt::SCHEMA_BERT,
+            schema,
             &[
                 &format!("{arch:?}"),
-                &format!("{:?}", self.shared.cfg.bert_pretrain),
-                &self.shared.cfg.bert_pretrain_cap.to_string(),
+                &format!("{pretrain:?}"),
+                &cap.to_string(),
                 &self.shared.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.shared.cfg),
-            ],
-        );
-        (arch, key)
-    }
-
-    /// Content key of the BioGPT-mini checkpoint.
-    fn biogpt_ckpt_key(&self) -> (TransformerConfig, String) {
-        let arch = TransformerConfig {
-            vocab_size: self.wordpiece().vocab_size(),
-            ..self.shared.cfg.gpt_arch
-        };
-        let key = ckpt::digest_key(
-            ckpt::SCHEMA_BIOGPT,
-            &[
-                &format!("{arch:?}"),
-                &format!("{:?}", self.shared.cfg.gpt_pretrain),
-                &self.shared.cfg.gpt_pretrain_cap.to_string(),
-                &self.shared.wordpiece_ckpt_key(),
-                &ckpt::domain_fp(&self.shared.cfg),
+                &ckpt::domain_fp(cfg),
             ],
         );
         (arch, key)
@@ -992,12 +1012,8 @@ impl Lab {
             return false;
         }
         match name {
-            "lm-bert" => {
-                let (_, key) = self.bert_ckpt_key();
-                self.shared.checkpoint_store().is_some_and(|s| s.is_fresh(name, &key))
-            }
-            "lm-biogpt" => {
-                let (_, key) = self.biogpt_ckpt_key();
+            "lm-bert" | "lm-biogpt" => {
+                let (_, key) = self.lm_ckpt_key(name);
                 self.shared.checkpoint_store().is_some_and(|s| s.is_fresh(name, &key))
             }
             other => self.shared.provider_fresh(other),
@@ -1010,7 +1026,7 @@ impl Lab {
     /// Driver-thread only (the model is `!Send`).
     pub fn bert(&self) -> &(MiniBert, Vec<Matrix>) {
         self.bert.get_or_init(|| {
-            let (arch, key) = self.bert_ckpt_key();
+            let (arch, key) = self.lm_ckpt_key("lm-bert");
             let bert = MiniBert::new(MiniBertConfig { arch, mask_prob: 0.15 });
             // Freshly initialised weights double as the shape reference a
             // cached snapshot must match to be usable.
@@ -1044,20 +1060,7 @@ impl Lab {
     /// observed, which is exactly the behaviour Table 5 reports.
     pub fn biogpt(&self) -> &BioGptMini {
         self.biogpt.get_or_init(|| {
-            let arch = TransformerConfig {
-                vocab_size: self.wordpiece().vocab_size(),
-                ..self.shared.cfg.gpt_arch
-            };
-            let key = ckpt::digest_key(
-                ckpt::SCHEMA_BIOGPT,
-                &[
-                    &format!("{arch:?}"),
-                    &format!("{:?}", self.shared.cfg.gpt_pretrain),
-                    &self.shared.cfg.gpt_pretrain_cap.to_string(),
-                    &self.shared.wordpiece_ckpt_key(),
-                    &ckpt::domain_fp(&self.shared.cfg),
-                ],
-            );
+            let (arch, key) = self.lm_ckpt_key("lm-biogpt");
             let gpt = MiniGpt::new(MiniGptConfig { arch });
             let expect = gpt.snapshot();
             let snapshot = ckpt::cached(
@@ -1332,6 +1335,26 @@ mod tests {
             .collect();
         files.sort();
         files
+    }
+
+    #[test]
+    fn artifact_entries_round_trip_under_their_target_key() {
+        let dir = temp_ckpt_dir("artifact");
+        let lab = Lab::with_checkpoints(LabConfig::tiny(), Arc::new(CkptStore::open(&dir)));
+        let mut a = Artifact::new("Table 9", "demo");
+        a.set_json(serde_json::json!({"f1": [0.5, 1.0], "n": 3}));
+        let body = a.to_replay_json().render_json(None);
+        assert!(!lab.artifact_fresh("table9"));
+        assert_eq!(lab.save_artifact("table9", &a), kcb_util::fnv1a_hex(body.as_bytes()));
+        assert!(lab.artifact_fresh("table9") && !lab.artifact_fresh("table8"));
+        let back = lab.read_artifact("table9").expect("a stored artifact reads back");
+        assert_eq!(back.to_replay_json().render_json(None), body);
+        // Another config never addresses the entry.
+        let mut cfg = LabConfig::tiny();
+        cfg.reseed(9);
+        let other = Lab::with_checkpoints(cfg, Arc::new(CkptStore::open(&dir)));
+        assert!(!other.artifact_fresh("table9"));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -57,9 +57,9 @@ impl Artifact {
         out
     }
 
-    /// Full structural projection — id, title, tables, payload — persisted
-    /// by the run journal so an interrupted run can replay the artifact
-    /// byte-for-byte without re-running its experiment.
+    /// Full structural projection — id, title, tables, payload — saved as
+    /// the artifact's checkpoint entry, so a later run can return the
+    /// artifact byte-for-byte without re-running its experiment.
     pub fn to_replay_json(&self) -> Value {
         Value::Object(vec![
             ("id".to_string(), Value::String(self.id.clone())),
@@ -70,8 +70,8 @@ impl Artifact {
     }
 
     /// Inverse of [`Artifact::to_replay_json`]. `None` when the value does
-    /// not have the projected shape (replay then falls back to
-    /// reassembling the artifact from scratch).
+    /// not have the projected shape (the entry is then unusable and the
+    /// artifact is reassembled).
     pub fn from_replay_json(v: &Value) -> Option<Self> {
         let tables = v
             .get("tables")?

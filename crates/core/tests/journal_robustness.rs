@@ -9,12 +9,12 @@
 //!    clean *prefix* of the original records and warns (once) exactly when
 //!    something was dropped;
 //! 3. an end-to-end resume, for a scheduled run and for a sweep: killed
-//!    mid-DAG by an injected panic fault and resumed from its journal, it
-//!    must produce byte-identical artifacts to an uninterrupted run — with
-//!    at least one job replayed rather than re-executed, and, for the
-//!    scheduled run, derived results saved before the fault read back from
-//!    the checkpoint store — and a rerun of the finished journal must
-//!    append nothing and look up no derived result.
+//!    mid-DAG by an injected panic fault and rerun over its journal and
+//!    checkpoint store, it must produce byte-identical artifacts to an
+//!    uninterrupted run — with at least one target read from the store
+//!    rather than reassembled, and, for the scheduled run, derived results
+//!    saved before the fault read back — and a rerun of the finished run
+//!    must append nothing and look up no derived result.
 
 use kcb_core::ckpt::{CkptEvent, CkptStore};
 use kcb_core::experiment::plan::{run_scheduled_with, JournalSpec};
@@ -203,8 +203,8 @@ fn a_deeply_nested_tail_line_warns_and_keeps_the_clean_prefix() {
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 
-/// Compact replay-JSON bytes of every artifact, the strongest equality
-/// the journal promises across a crash.
+/// Compact replay-JSON bytes of every artifact — what an artifact entry
+/// holds — the strongest equality a resume promises across a crash.
 fn artifact_bytes(arts: &[(String, kcb_core::report::Artifact)]) -> Vec<(String, String)> {
     arts.iter()
         .map(|(id, a)| (id.clone(), a.to_replay_json().render_json(None)))
@@ -258,14 +258,14 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     assert!(journaled.warning.is_none(), "a clean crash leaves no torn line");
 
     // Resume: a fresh process image (new lab, cold in-memory caches) over
-    // the same journal finishes the DAG and replays what already
-    // committed; results saved by the assemblies before the fault are
-    // read back from their derived checkpoint entries.
+    // the same journal and store reads the artifacts assembled before the
+    // fault and assembles the rest, reading back the derived results
+    // those assemblies saved.
     let resume_spec = JournalSpec { dir: crash_spec.dir.clone(), fault: None };
     let lab = stored_lab();
     let (resumed, report) = run_scheduled_with(&lab, &IDS, 1, Some(&resume_spec));
     assert!(report.journal.resume, "resume must be detected");
-    assert!(report.journal.replayed > 0, "journaled jobs must be satisfied, not re-run");
+    assert!(report.journal.replayed > 0, "stored artifacts must be read, not reassembled");
     assert_eq!(report.journal.warnings, 0);
     assert!(
         derived(&report.checkpoints).iter().any(|e| e.hit),
@@ -282,10 +282,9 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
         assert_eq!(a_c.render(), a_r.render(), "rendered text differs for {id_c}");
     }
 
-    // A second resume over the now-complete journal replays *everything*
-    // — including the artifacts themselves, straight from disk — and
-    // neither re-appends what the journal already holds nor calls itself
-    // a resume.
+    // A second resume over the now-complete journal reads every artifact
+    // from the store, and neither re-appends what the journal already
+    // holds nor calls itself a resume.
     let lab = stored_lab();
     let (warm, warm_report) = run_scheduled_with(&lab, &IDS, 1, Some(&resume_spec));
     assert_eq!(artifact_bytes(&cold), artifact_bytes(&warm));
@@ -296,10 +295,20 @@ fn interrupted_run_resumes_to_byte_identical_artifacts() {
     );
     assert!(
         warm_report.journal.replayed >= IDS.len() as u64,
-        "complete journal should replay at least every artifact"
+        "a finished run should read every artifact from the store"
     );
     assert_eq!(warm_report.journal.appended, 0, "a finished journal gains no records");
     assert!(!warm_report.journal.resume, "a finished journal is not resumed");
+
+    // A new journal over the filled store records no artifact, since every
+    // one is read; a rerun over it has nothing to resume either.
+    let fresh_spec = JournalSpec { dir: root.join("fresh"), fault: None };
+    for _ in 0..2 {
+        let lab = stored_lab();
+        let (again, report) = run_scheduled_with(&lab, &IDS, 1, Some(&fresh_spec));
+        assert_eq!(artifact_bytes(&cold), artifact_bytes(&again));
+        assert!(!report.journal.resume, "a journal that only saw store reads was resumed");
+    }
 
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -313,11 +322,13 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
     let _g = kcb_util::pool::ThreadsGuard::new(1);
     let base = LabConfig::tiny();
     let grid = GridSpec::parse(GRID).expect("valid grid");
-    // Every `run_sweep` builds fresh labs, so each leg below starts from
-    // cold in-memory caches, like a new process.
+    // Every `run_sweep` builds fresh labs and opens the store anew, so
+    // each leg below starts from cold in-memory caches, like a new
+    // process. The legs over one journal share that journal's store.
     let sweep = |dir: &str, fault: Option<FaultPlan>| {
         let journal = Some(JournalSpec { dir: root.join(dir), fault });
-        run_sweep(&base, &grid, &SweepSpec { workers: 1, journal, store: None })
+        let store = Some(Arc::new(CkptStore::open(root.join(format!("{dir}-ckpt")))));
+        run_sweep(&base, &grid, &SweepSpec { workers: 1, journal, store })
     };
 
     let cold = sweep("cold", None);
@@ -337,15 +348,15 @@ fn interrupted_sweep_resumes_to_byte_identical_artifacts() {
 
     let resumed = sweep("crash", None);
     assert!(resumed.report.journal.resume, "resume must be detected");
-    assert!(resumed.report.journal.replayed > 0, "journaled jobs must be satisfied, not re-run");
+    assert!(resumed.report.journal.replayed > 0, "stored variants must be read, not reassembled");
     assert_eq!(
         artifact_bytes(&cold.artifacts),
         artifact_bytes(&resumed.artifacts),
         "resumed variant artifacts must be byte-identical to the uninterrupted sweep"
     );
 
-    // Rerunning the finished sweep replays every variant and appends
-    // nothing.
+    // Rerunning the finished sweep reads every variant from the store and
+    // appends nothing.
     let warm = sweep("crash", None);
     assert_eq!(artifact_bytes(&cold.artifacts), artifact_bytes(&warm.artifacts));
     assert!(warm.variants.iter().all(|v| v.replayed));

@@ -284,7 +284,6 @@ pub fn run(snap: Arc<Snapshot>, cfg: &BenchConfig) -> Value {
     let stats = server.stats();
     let live = server.metrics().snapshot();
     let server_e2e = server.metrics().e2e_us.snapshot();
-    let timing_on = server.metrics().timing();
     server.stop();
     // An empty connection nudges the accept loop in case it is between
     // polls; then wait for the graceful drain.
@@ -348,7 +347,6 @@ pub fn run(snap: Arc<Snapshot>, cfg: &BenchConfig) -> Value {
         "pipeline": cfg.pipeline,
         "seed": cfg.seed,
         "fast": cfg.fast,
-        "live_timing": timing_on,
     });
     let served = json!({
         "requests": total_requests,
@@ -374,7 +372,6 @@ pub fn run(snap: Arc<Snapshot>, cfg: &BenchConfig) -> Value {
     // Server-side view: the engine's own end-to-end histogram plus the
     // full live-registry counters, so the doc shows both vantage points.
     let live_doc = json!({
-        "timing": timing_on,
         "e2e": hist_json(&server_e2e),
         "counters": Value::Object(
             live.counters.iter().map(|(k, &v)| (k.clone(), json!(v))).collect(),

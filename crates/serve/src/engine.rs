@@ -75,8 +75,7 @@ pub struct EngineStats {
 struct Job {
     req: Request,
     tx: Sender<String>,
-    /// When `submit` admitted the request (the engine epoch when timing
-    /// is disabled, so no clock read happens per request).
+    /// When `submit` admitted the request.
     arrival: Instant,
 }
 
@@ -137,7 +136,7 @@ impl Engine {
     pub fn submit(&self, req: Request, tx: Sender<String>) {
         let m = &self.inner.metrics;
         m.count_verb(&req.op);
-        let arrival = if m.timing() { Instant::now() } else { m.epoch() };
+        let arrival = Instant::now();
         {
             let mut q = self.inner.queue.lock().expect("queue lock");
             if q.len() < self.inner.queue_cap {
@@ -154,18 +153,16 @@ impl Engine {
         }
         m.shed.add(1);
         kcb_obs::counter("serve.shed", 1);
-        if m.timing() {
-            self.inner.flight.record(FlightRecord {
-                id: req.id,
-                op: req.op.name(),
-                arrival_us: m.since_us(arrival),
-                queue_us: 0,
-                batch: 0,
-                batch_size: 0,
-                latency_us: 0,
-                outcome: "shed",
-            });
-        }
+        self.inner.flight.record(FlightRecord {
+            id: req.id,
+            op: req.op.name(),
+            arrival_us: m.since_us(arrival),
+            queue_us: 0,
+            batch: 0,
+            batch_size: 0,
+            latency_us: 0,
+            outcome: "shed",
+        });
         if !self.inner.in_overload.swap(true, Ordering::Relaxed) {
             // First shed of this overload episode: preserve the lead-up.
             let _ = self.inner.flight.flush("overload");
@@ -272,35 +269,27 @@ fn worker_loop(inner: &Inner) {
         m.in_flight.add(n as i64);
         kcb_obs::series("serve.batch_size", n as f64);
         kcb_obs::counter("serve.requests", n as u64);
-        let drained_at = m.timing().then(Instant::now);
+        let t0 = Instant::now();
         let (outcomes, replies) = serve_batch(&inner.snap, bert.as_ref(), &batch);
-        if let Some(t0) = drained_at {
-            m.batch_service_us.record(t0.elapsed().as_micros() as u64);
-            for (job, outcome) in batch.iter().zip(&outcomes) {
-                let queue_us = t0.duration_since(job.arrival).as_micros() as u64;
-                let latency_us = job.arrival.elapsed().as_micros() as u64;
-                m.queue_wait_us.record(queue_us);
-                m.e2e_us.record(latency_us);
-                if *outcome == "error" {
-                    m.errors.add(1);
-                }
-                inner.flight.record(FlightRecord {
-                    id: job.req.id,
-                    op: job.req.op.name(),
-                    arrival_us: m.since_us(job.arrival),
-                    queue_us,
-                    batch: batch_id,
-                    batch_size: n as u32,
-                    latency_us,
-                    outcome,
-                });
+        m.batch_service_us.record(t0.elapsed().as_micros() as u64);
+        for (job, outcome) in batch.iter().zip(&outcomes) {
+            let queue_us = t0.duration_since(job.arrival).as_micros() as u64;
+            let latency_us = job.arrival.elapsed().as_micros() as u64;
+            m.queue_wait_us.record(queue_us);
+            m.e2e_us.record(latency_us);
+            if *outcome == "error" {
+                m.errors.add(1);
             }
-        } else {
-            for outcome in &outcomes {
-                if *outcome == "error" {
-                    m.errors.add(1);
-                }
-            }
+            inner.flight.record(FlightRecord {
+                id: job.req.id,
+                op: job.req.op.name(),
+                arrival_us: m.since_us(job.arrival),
+                queue_us,
+                batch: batch_id,
+                batch_size: n as u32,
+                latency_us,
+                outcome,
+            });
         }
         m.in_flight.add(-(n as i64));
         m.served.add(n as u64);

@@ -6,13 +6,6 @@
 //! *once* at startup (including one counter per protocol verb, indexed by
 //! [`Op::index`]), so the hot path is pure relaxed atomics: no locks, no
 //! hashing, no allocation.
-//!
-//! `KCB_LIVE=off` (or `0`) in the environment disables the *per-request*
-//! timing work — the clock reads, latency histograms and flight-recorder
-//! appends — which is how the telemetry-overhead experiment in
-//! EXPERIMENTS.md measures the cost of the live plane. Counters, gauges
-//! and the per-batch size histogram stay on: they are one relaxed RMW
-//! each, and admission control plus `stats` depend on them.
 
 use crate::protocol::Op;
 use kcb_obs::live::{LiveCounter, LiveGauge, LiveHistogram, LiveRegistry, LiveSnapshot};
@@ -22,7 +15,6 @@ use std::time::Instant;
 /// Every live instrument the serving engine records into.
 pub struct Metrics {
     registry: LiveRegistry,
-    timing: bool,
     start: Instant,
     /// Requests answered by workers.
     pub served: Arc<LiveCounter>,
@@ -46,17 +38,14 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Resolves every handle against a fresh registry and reads the
-    /// `KCB_LIVE` toggle.
+    /// Resolves every handle against a fresh registry.
     pub fn new() -> Self {
         let registry = LiveRegistry::new();
-        let timing = !matches!(std::env::var("KCB_LIVE").as_deref(), Ok("off") | Ok("0"));
         let verbs = Op::NAMES
             .iter()
             .map(|n| registry.counter(&format!("serve.requests.{n}")))
             .collect();
         Self {
-            timing,
             start: Instant::now(),
             served: registry.counter("serve.served"),
             shed: registry.counter("serve.shed"),
@@ -70,17 +59,6 @@ impl Metrics {
             verbs,
             registry,
         }
-    }
-
-    /// Whether per-request timing (histograms + flight recorder) is on.
-    pub fn timing(&self) -> bool {
-        self.timing
-    }
-
-    /// The engine's start instant — the flight recorder's time zero, and
-    /// the stand-in arrival stamp when timing is off.
-    pub fn epoch(&self) -> Instant {
-        self.start
     }
 
     /// Seconds since the engine started.

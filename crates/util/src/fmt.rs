@@ -125,8 +125,8 @@ impl Table {
     }
 
     /// Inverse of [`Table::to_json`]. `None` when the value does not have
-    /// the projected shape (a journal replay then falls back to
-    /// reassembling the artifact).
+    /// the projected shape (a stored artifact is then unusable and is
+    /// reassembled).
     pub fn from_json(v: &serde::Value) -> Option<Self> {
         let strs = |v: &serde::Value| -> Option<Vec<String>> {
             v.as_array()?.iter().map(|s| s.as_str().map(str::to_string)).collect()

@@ -277,7 +277,7 @@ mod tests {
         let pretty = v.render_json(Some(2));
         assert_eq!(parse_value(&pretty).unwrap(), v);
         // The re-render of the parse reproduces the exact bytes, which is
-        // what journal replay relies on for artifact byte-identity.
+        // what a stored artifact relies on for byte-identity.
         assert_eq!(parse_value(&compact).unwrap().render_json(None), compact);
     }
 
